@@ -11,7 +11,7 @@
 //	         [-eval-intern=true] [-eval-stats=true] [-eval-parallel 0]
 //	         [-result-cache-size 128] [-result-cache-bytes 33554432]
 //	         [-result-cache-maintain=true]
-//	         [-batch 256] [-batch-wait 2ms] [-shards 8]
+//	         [-batch 256] [-shards 8]
 //	         [-data-dir DIR] [-wal-sync always|interval|none]
 //	         [-wal-sync-interval 100ms]
 //	         [-resident-budget-bytes N] [-cold-after 0]
@@ -20,6 +20,12 @@
 //	         [-s3-prefix P] [-s3-region R] [-s3-access-key K] [-s3-secret-key S]
 //	         [-node-name NAME -peers a=URL,b=URL,...] [-vnodes 64]
 //	         [-probe-interval 2s]
+//
+// Ingest batching: each instance flushes writes as soon as its previous
+// flush is done, taking every write that queued meanwhile, up to -batch
+// facts per flush. Batches, and with -wal-sync always the writes that
+// share one fsync, therefore grow with load, while a write to an idle
+// instance is applied at once: nothing is held back to wait for company.
 //
 // Tiered storage: with a snapshot backend configured, idle instances are
 // snapshotted into per-instance blobs, evicted from RAM when the resident
@@ -84,8 +90,7 @@ func main() {
 		resCacheSize  = flag.Int("result-cache-size", 128, "result-cache entries per instance (0 disables result caching)")
 		resCacheBytes = flag.Int("result-cache-bytes", 32<<20, "approximate result-cache byte bound per instance (0 = entries-only bound)")
 		resCacheMaint = flag.Bool("result-cache-maintain", true, "incrementally maintain cached results across ingests instead of invalidating them")
-		batch         = flag.Int("batch", 256, "ingest batch size (facts)")
-		batchWait     = flag.Duration("batch-wait", 2*time.Millisecond, "max ingest batching delay")
+		batch         = flag.Int("batch", 256, "cap on the facts one ingest flush takes")
 		shards        = flag.Int("shards", 8, "registry/WAL stripe count")
 		dataDir       = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
 		walSync       = flag.String("wal-sync", "always", "WAL durability: always, interval or none")
@@ -224,7 +229,6 @@ func main() {
 		ResultCacheBytes:         resBytes,
 		DisableResultMaintenance: !*resCacheMaint,
 		IngestBatchSize:          *batch,
-		IngestMaxWait:            *batchWait,
 		Shards:                   *shards,
 		Persist:                  logStore,
 		Metrics:                  reg,
@@ -294,8 +298,8 @@ func main() {
 		log.Printf("provmind: cluster node %s of %v (ring v%d)",
 			topo.Self(), topo.Ring().Nodes(), topo.Ring().Version())
 	}
-	log.Printf("provmind listening on %s (workers=%d cache=%d batch=%d/%s shards=%d durable=%t)",
-		ln.Addr(), *workers, *cacheSize, *batch, *batchWait, *shards, logStore != nil)
+	log.Printf("provmind listening on %s (workers=%d cache=%d batch=%d shards=%d durable=%t)",
+		ln.Addr(), *workers, *cacheSize, *batch, *shards, logStore != nil)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -119,7 +119,9 @@ func Load(cfg LoadConfig) (*Program, error) {
 }
 
 // discover walks root collecting directories that contain Go files,
-// skipping hidden directories, testdata trees and vendored code.
+// skipping hidden directories, testdata trees, vendored code and, as the
+// go command does, nested modules: a directory below root that holds a
+// go.mod belongs to another module, not to root's.
 func discover(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -138,11 +140,20 @@ func discover(root string) ([]string, error) {
 		if err != nil {
 			return err
 		}
+		hasGo := false
 		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-				dirs = append(dirs, path)
-				break
+			if e.IsDir() {
+				continue
 			}
+			if e.Name() == "go.mod" && path != root {
+				return filepath.SkipDir
+			}
+			if strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+				hasGo = true
+			}
+		}
+		if hasGo {
+			dirs = append(dirs, path)
 		}
 		return nil
 	})

@@ -118,7 +118,7 @@ func (tc *testCluster) startNode(name, dataDir string, ln net.Listener) {
 		t.Fatal(err)
 	}
 	eng := engine.New(engine.Config{
-		Workers: 2, CacheSize: 16, IngestBatchSize: 1, IngestMaxWait: time.Millisecond,
+		Workers: 2, CacheSize: 16, IngestBatchSize: 1,
 		Persist: l, Backend: tc.backend, JanitorInterval: -1, Metrics: reg,
 		AdoptOnMiss: func(id string) engine.AdoptMode {
 			switch {
@@ -237,7 +237,7 @@ func ingestBody(rel, tag string, values ...string) map[string]any {
 // reference: the routed cluster must answer byte-identically to it.
 func singleNodeRef(t *testing.T) *httptest.Server {
 	t.Helper()
-	eng := engine.New(engine.Config{Workers: 2, CacheSize: 16, IngestBatchSize: 1, IngestMaxWait: time.Millisecond})
+	eng := engine.New(engine.Config{Workers: 2, CacheSize: 16, IngestBatchSize: 1})
 	t.Cleanup(eng.Close)
 	ref := httptest.NewServer(server.New(eng))
 	t.Cleanup(ref.Close)

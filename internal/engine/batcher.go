@@ -18,17 +18,20 @@ type Fact = persist.Fact
 
 // ingestBatcher coalesces concurrent tuple ingests into one write-lock
 // acquisition. Every Instance write invalidates the relation's column
-// indexes and contends with readers, so under concurrent load it pays to
-// gather facts for up to maxWait (or until batchSize is reached) and apply
-// them in a single critical section. When the engine is durable, one batch
-// is also one WAL record and one (group-shared) fsync — the fsync batching
-// piggybacks on the ingest batching. Callers block until their facts are
-// durably applied, so the batching is invisible except in throughput.
+// indexes and contends with readers, so it pays to apply several requests
+// in a single critical section. The batching is self-clocking group
+// commit: the loop blocks until one request arrives, takes whatever else
+// is already queued behind it without waiting (up to batchSize facts) and
+// flushes at once. Requests that arrive during a flush form the next
+// batch, so batches grow with load while an idle instance never waits.
+// When the engine is durable, one batch is also one WAL record and one
+// (group-shared) fsync — the fsync batching piggybacks on the ingest
+// batching. Callers block until their facts are durably applied, so the
+// batching is invisible except in throughput.
 type ingestBatcher struct {
 	eng       *Engine
 	inst      *instance
 	batchSize int
-	maxWait   time.Duration
 
 	in        chan *ingestReq
 	stop      chan struct{}
@@ -55,18 +58,14 @@ type ingestReq struct {
 	resp  chan error
 }
 
-func newIngestBatcher(eng *Engine, inst *instance, batchSize int, maxWait time.Duration) *ingestBatcher {
+func newIngestBatcher(eng *Engine, inst *instance, batchSize int) *ingestBatcher {
 	if batchSize < 1 {
 		batchSize = 256
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
 	}
 	b := &ingestBatcher{
 		eng:       eng,
 		inst:      inst,
 		batchSize: batchSize,
-		maxWait:   maxWait,
 		in:        make(chan *ingestReq, 64),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -112,51 +111,36 @@ func (b *ingestBatcher) close() {
 
 func (b *ingestBatcher) loop() {
 	defer close(b.done)
-
-	var batch []*ingestReq
-	var pending int
-	var timer *time.Timer
-	var timerC <-chan time.Time
-
-	reset := func() {
-		if timer != nil {
-			timer.Stop()
-		}
-		batch, pending, timer, timerC = nil, 0, nil, nil
-	}
-
 	for {
+		select {
+		case req := <-b.in:
+			b.flush(b.take(req))
+		case <-b.stop:
+			// close has fenced out new adds and waited for in-flight sends,
+			// so b.in holds every request that will ever arrive, and this
+			// loop is its only receiver: serve them all, then exit.
+			for len(b.in) > 0 {
+				b.flush(b.take(<-b.in))
+			}
+			return
+		}
+	}
+}
+
+// take returns first plus the requests already queued behind it, stopping
+// once the batch holds batchSize facts. It never waits for more.
+func (b *ingestBatcher) take(first *ingestReq) []*ingestReq {
+	batch := []*ingestReq{first}
+	for pending := len(first.facts); pending < b.batchSize; {
 		select {
 		case req := <-b.in:
 			batch = append(batch, req)
 			pending += len(req.facts)
-			if len(batch) == 1 {
-				timer = time.NewTimer(b.maxWait)
-				timerC = timer.C
-			}
-			if pending >= b.batchSize {
-				b.flush(batch)
-				reset()
-			}
-
-		case <-timerC:
-			b.flush(batch)
-			reset()
-
-		case <-b.stop:
-			// Serve requests that raced the close, then exit.
-			for {
-				select {
-				case req := <-b.in:
-					batch = append(batch, req)
-				default:
-					b.flush(batch)
-					reset()
-					return
-				}
-			}
+		default:
+			return batch
 		}
 	}
+	return batch
 }
 
 // flush validates every request, write-ahead-logs the valid ones as a

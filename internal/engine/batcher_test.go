@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestBatcherAddAfterCloseFails is the deterministic sequencing half of the
 // close/add contract: once close returned, add must fail fast with the
 // closed error, and a pre-close add's facts must be fully applied.
 func TestBatcherAddAfterCloseFails(t *testing.T) {
-	e := New(Config{Workers: 2, IngestBatchSize: 4, IngestMaxWait: time.Millisecond})
+	e := New(Config{Workers: 2, IngestBatchSize: 4})
 	t.Cleanup(e.Close)
 	id := mustCreate(t, e, "")
 	in, err := e.lookup(id)
@@ -45,7 +44,7 @@ func TestBatcherAddAfterCloseFails(t *testing.T) {
 func TestBatcherCloseAddRace(t *testing.T) {
 	const rounds = 60
 	for round := 0; round < rounds; round++ {
-		e := New(Config{Workers: 2, IngestBatchSize: 2, IngestMaxWait: 50 * time.Microsecond})
+		e := New(Config{Workers: 2, IngestBatchSize: 2})
 		id := mustCreate(t, e, "")
 		in, err := e.lookup(id)
 		if err != nil {
@@ -94,5 +93,60 @@ func TestBatcherCloseAddRace(t *testing.T) {
 			}
 		}
 		e.Close()
+	}
+}
+
+// TestBatcherTakesQueuedRequests pins the self-clocking contract: when the
+// loop takes a request, the requests already queued behind it go into the
+// same flush, up to batchSize facts, and the loop never waits for more.
+// Every request is queued before the loop starts, so the batches are
+// deterministic, and each shows as one generation bump.
+func TestBatcherTakesQueuedRequests(t *testing.T) {
+	for _, tc := range []struct {
+		batchSize, reqs int
+		wantGen         uint64
+	}{
+		{batchSize: 256, reqs: 10, wantGen: 1},
+		{batchSize: 4, reqs: 10, wantGen: 3}, // batches of 4, 4 and 2
+		{batchSize: 1, reqs: 3, wantGen: 3},
+	} {
+		t.Run(fmt.Sprintf("cap%d/reqs%d", tc.batchSize, tc.reqs), func(t *testing.T) {
+			e := New(Config{Workers: 2})
+			t.Cleanup(e.Close)
+			in, err := e.lookup(mustCreate(t, e, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A second batcher on the instance, built without its loop. The
+			// instance's own batcher gets no requests, so this one is the
+			// only writer.
+			b := &ingestBatcher{
+				eng: e, inst: in, batchSize: tc.batchSize,
+				in:   make(chan *ingestReq, tc.reqs),
+				stop: make(chan struct{}),
+				done: make(chan struct{}),
+			}
+			reqs := make([]*ingestReq, tc.reqs)
+			for i := range reqs {
+				v := fmt.Sprintf("v%d", i)
+				reqs[i] = &ingestReq{facts: []Fact{{Rel: "R", Tag: "t" + v, Values: []string{v}}}, resp: make(chan error, 1)}
+				b.in <- reqs[i]
+			}
+			go b.loop()
+			defer b.close()
+			for i, req := range reqs {
+				if err := <-req.resp; err != nil {
+					t.Fatalf("request %d: %v", i, err)
+				}
+			}
+			in.mu.RLock()
+			defer in.mu.RUnlock()
+			if rel := in.db.Lookup("R"); rel == nil || rel.Len() != tc.reqs {
+				t.Fatalf("applied facts: %v, want %d", in.db, tc.reqs)
+			}
+			if in.version != tc.wantGen {
+				t.Fatalf("generation %d, want %d (one per flushed batch)", in.version, tc.wantGen)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ func durableEngine(t *testing.T, dir string, shards int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Config{Workers: 2, CacheSize: 8, IngestBatchSize: 8, IngestMaxWait: time.Millisecond, Persist: l})
+	return New(Config{Workers: 2, CacheSize: 8, IngestBatchSize: 8, Persist: l})
 }
 
 func coreString(t *testing.T, e *Engine, id, q string) (string, uint64) {
@@ -199,7 +199,7 @@ func TestRecoveryGenerationInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Workers: 2, IngestBatchSize: 8, IngestMaxWait: time.Millisecond, Persist: l})
+	e := New(Config{Workers: 2, IngestBatchSize: 8, Persist: l})
 	id := mustCreate(t, e, paperInstance)
 	const writers, per = 4, 6
 	var wg sync.WaitGroup
@@ -258,7 +258,7 @@ func TestFailedWALIngestNotApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Workers: 2, IngestBatchSize: 4, IngestMaxWait: time.Millisecond, Persist: l})
+	e := New(Config{Workers: 2, IngestBatchSize: 4, Persist: l})
 	defer e.Close()
 	id := mustCreate(t, e, paperInstance)
 

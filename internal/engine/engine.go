@@ -9,7 +9,10 @@
 //   - a fixed-size worker pool bounding concurrent evaluations;
 //   - a per-instance ingest batcher that coalesces concurrent tuple
 //     writes into single write-lock acquisitions (and, when durability is
-//     on, single WAL records sharing group-commit fsyncs);
+//     on, single WAL records sharing group-commit fsyncs). It is
+//     self-clocking: each flush takes the writes that queued while the
+//     previous one ran, so a write to an idle instance is applied at once
+//     and batches grow only with load;
 //   - an LRU cache from canonical query forms to their p-minimal
 //     equivalents (MinProv output), so repeated core-provenance requests
 //     skip Algorithm 1 — the worst-case-exponential step — entirely;
@@ -83,12 +86,10 @@ type Config struct {
 	// results instead of promoting eligible entries with delta
 	// evaluation. The ablation switch for -result-cache-maintain=false.
 	DisableResultMaintenance bool
-	// IngestBatchSize flushes an ingest batch when this many facts are
-	// pending (default 256).
+	// IngestBatchSize caps the facts one flush takes (default 256). A
+	// flush never waits for a batch to fill: it takes the requests queued
+	// when it starts, so the cap binds only under load.
 	IngestBatchSize int
-	// IngestMaxWait flushes a non-empty ingest batch after this delay
-	// (default 2ms).
-	IngestMaxWait time.Duration
 	// Shards is the registry stripe count (default 8). When Persist is
 	// set its stripe count wins, so one WAL stripe covers exactly one
 	// registry stripe.
@@ -312,7 +313,7 @@ func New(cfg Config) *Engine {
 		for _, rec := range e.log.TakeRecovered() {
 			in := &instance{id: rec.ID, db: rec.DB, version: rec.Version, lastSeq: rec.LastSeq, bytes: instanceCost(rec.DB)}
 			in.results = e.newResultCache()
-			in.batcher = newIngestBatcher(e, in, cfg.IngestBatchSize, cfg.IngestMaxWait)
+			in.batcher = newIngestBatcher(e, in, cfg.IngestBatchSize)
 			sh := e.shardOf(rec.ID)
 			sh.instances[rec.ID] = in
 			sh.count.Add(1)
@@ -456,7 +457,7 @@ func (e *Engine) createInstance(id, initial string) (InstanceInfo, error) {
 	}
 	in := &instance{id: id, db: d, bytes: instanceCost(d)}
 	in.results = e.newResultCache()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize, e.cfg.IngestMaxWait)
+	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
 	inserted := false
 	exists := false
 	insert := func(uint64) {

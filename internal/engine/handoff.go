@@ -312,7 +312,7 @@ func (e *Engine) borrowIn(id string) error {
 
 	in := &instance{id: id, borrowed: true, db: st.DB, version: st.Version, bytes: instanceCost(st.DB)}
 	in.results = e.newResultCache()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize, e.cfg.IngestMaxWait)
+	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
 
 	installed := false
 	sh.mu.Lock()

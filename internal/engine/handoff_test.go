@@ -27,7 +27,7 @@ func handoffEngine(t *testing.T, dir string, backend tier.SnapshotBackend, owns 
 		t.Fatal(err)
 	}
 	e := New(Config{
-		Workers: 2, CacheSize: 8, IngestBatchSize: 1, IngestMaxWait: time.Millisecond,
+		Workers: 2, CacheSize: 8, IngestBatchSize: 1,
 		Persist: l, Backend: backend, JanitorInterval: -1, Metrics: reg, AdoptOnMiss: adopt,
 	})
 	if err := e.AdoptCold(context.Background(), owns); err != nil {
@@ -336,7 +336,7 @@ func TestCloseWaitsForInFlightEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(Config{
-		Workers: 2, IngestBatchSize: 1, IngestMaxWait: time.Millisecond,
+		Workers: 2, IngestBatchSize: 1,
 		Persist: l, Backend: backend, JanitorInterval: -1, Metrics: reg,
 	})
 	id := mustCreate(t, e, paperInstance)

@@ -210,7 +210,7 @@ func (e *Engine) reviveBatcher(in *instance) {
 		return
 	}
 	in.mu.Lock()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize, e.cfg.IngestMaxWait)
+	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
 	in.mu.Unlock()
 }
 
@@ -260,7 +260,7 @@ func (e *Engine) faultIn(id string) error {
 
 	in := &instance{id: id, db: st.DB, version: st.Version, lastSeq: st.LastSeq, bytes: instanceCost(st.DB)}
 	in.results = e.newResultCache()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize, e.cfg.IngestMaxWait)
+	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
 
 	installed := false
 	install := func(seq uint64) {

@@ -319,7 +319,7 @@ func TestBudgetedWorkloadByteIdentical(t *testing.T) {
 // enforcement pass; run under -race it is the single-flight/fencing proof.
 // Every acknowledged ingest must be present exactly once at the end.
 func TestEvictIngestQueryStress(t *testing.T) {
-	e, _ := newTieredEngine(t, Config{ResidentBudgetBytes: 1, IngestMaxWait: 100 * time.Microsecond})
+	e, _ := newTieredEngine(t, Config{ResidentBudgetBytes: 1})
 	const nInst = 4
 	var ids []string
 	for i := 0; i < nInst; i++ {

@@ -142,7 +142,7 @@ func mustClone(u *query.UCQ) *query.UCQ { return u.Clone() }
 // concurrent DropInstance/Close on one batcher must not panic.
 func TestIngestRacingDrop(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		e := New(Config{Workers: 2, IngestBatchSize: 4, IngestMaxWait: 100 * time.Microsecond})
+		e := New(Config{Workers: 2, IngestBatchSize: 4})
 		id := mustCreate(t, e, "")
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"provmin/internal/db"
 	"provmin/internal/metrics"
@@ -30,7 +29,7 @@ func tieredDurableEngine(t *testing.T, dir string, backend tier.SnapshotBackend)
 		t.Fatal(err)
 	}
 	e := New(Config{
-		Workers: 2, CacheSize: 8, IngestBatchSize: 8, IngestMaxWait: time.Millisecond,
+		Workers: 2, CacheSize: 8, IngestBatchSize: 8,
 		Persist: l, Backend: backend, JanitorInterval: -1, Metrics: reg,
 	})
 	if err := e.AdoptCold(context.Background(), nil); err != nil {
@@ -180,28 +179,31 @@ func mustBlob(t *testing.T, id string) []byte {
 	return blob
 }
 
-// TestEvictFlushesPendingBatch: eviction's batcher fence must drain a
-// pending (un-flushed) ingest batch into the instance before the snapshot
-// is captured — the acknowledged facts travel with the blob.
+// TestEvictFlushesPendingBatch: an ingest racing EvictInstance must be
+// acknowledged, and its fact must travel with the blob. Either the write
+// reaches the batcher before the eviction fence closes it (the close
+// drains every queued request before the snapshot is captured), or the
+// closed batcher rejects it and Ingest retries through fault-in.
 func TestEvictFlushesPendingBatch(t *testing.T) {
-	// A long max-wait parks the batch in the batcher loop; only the
-	// eviction fence (or the 200ms backstop) flushes it.
-	e, _ := newTieredEngine(t, Config{IngestBatchSize: 1 << 20, IngestMaxWait: 200 * time.Millisecond})
+	e, _ := newTieredEngine(t, Config{})
 	id := mustCreate(t, e, "")
-	done := make(chan error, 1)
-	go func() {
-		done <- e.Ingest(id, []Fact{{Rel: "R", Tag: "p1", Values: []string{"a", "b"}}})
-	}()
-	time.Sleep(20 * time.Millisecond) // let the request reach the batcher
-	if err := e.EvictInstance(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("ingest overlapping evict: %v", err)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		done := make(chan error, 1)
+		go func() {
+			v := fmt.Sprintf("v%d", i)
+			done <- e.Ingest(id, []Fact{{Rel: "R", Tag: "p" + v, Values: []string{v, v}}})
+		}()
+		if err := e.EvictInstance(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("round %d: ingest racing evict: %v", i, err)
+		}
 	}
 	info, ok := e.Instance(id) // fault back in
-	if !ok || info.Tuples != 1 {
-		t.Fatalf("after fault-in: %+v, want the flushed fact present", info)
+	if !ok || info.Tuples != rounds {
+		t.Fatalf("after fault-in: %+v, want all %d acknowledged facts present", info, rounds)
 	}
 }
 
@@ -211,15 +213,23 @@ func TestEvictFlushesPendingBatch(t *testing.T) {
 // The fence being audited: persist.Log.Snapshot captures a shard under the
 // same WAL mutex Commit applies under, and the batch apply runs inside
 // Commit — so capture can never observe a half-applied batch.
+//
+// Writers take one token per request, and each round tops the tokens up
+// to perRound just before its snapshot, so writes are in flight during
+// every snapshot while the instance grows linearly. Unthrottled writers
+// would grow it by a constant factor per round, since a snapshot and its
+// decode take time linear in the instance.
 func TestSnapshotNeverSplitsIngestBatch(t *testing.T) {
 	dir := t.TempDir()
 	e := durableEngine(t, dir, 2)
 	defer e.Close()
 	id := mustCreate(t, e, "")
-	const reqFacts = 5
-	var wg sync.WaitGroup
+	const reqFacts, writers, rounds, perRound = 5, 4, 20, 32
+	tokens := make(chan struct{}, perRound)
+	acked := make(chan struct{}, rounds*perRound)
 	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -227,7 +237,7 @@ func TestSnapshotNeverSplitsIngestBatch(t *testing.T) {
 				select {
 				case <-stop:
 					return
-				default:
+				case <-tokens:
 				}
 				facts := make([]Fact, reqFacts)
 				for j := range facts {
@@ -238,19 +248,44 @@ func TestSnapshotNeverSplitsIngestBatch(t *testing.T) {
 					t.Errorf("ingest: %v", err)
 					return
 				}
+				acked <- struct{}{}
 			}
 		}(w)
 	}
-	for i := 0; i < 20; i++ {
+	writersDone := make(chan struct{})
+	go func() { wg.Wait(); close(writersDone) }()
+	defer func() { close(stop); <-writersDone }()
+	prev := 0
+	for i := 0; i < rounds; i++ {
+		// Each writer has at most one request in flight, which may have
+		// been applied before the previous capture. Of the writers+1 acks
+		// that follow this drain, at least one is for a request applied
+		// after that capture, so every snapshot must see more tuples.
+		for len(acked) > 0 {
+			<-acked
+		}
+		for j := len(tokens); j < perRound; j++ {
+			tokens <- struct{}{}
+		}
+		for j := 0; j <= writers; j++ {
+			select {
+			case <-acked:
+			case <-writersDone:
+				t.Fatal("writers stopped")
+			}
+		}
 		if _, err := e.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		if n := snapshotTuples(t, dir, id); n%reqFacts != 0 {
+		n := snapshotTuples(t, dir, id)
+		if n%reqFacts != 0 {
 			t.Fatalf("snapshot %d captured %d tuples — a split %d-fact batch", i, n, reqFacts)
 		}
+		if n <= prev {
+			t.Fatalf("snapshot %d captured %d tuples, no more than the %d before it", i, n, prev)
+		}
+		prev = n
 	}
-	close(stop)
-	wg.Wait()
 }
 
 // snapshotTuples decodes the shard snapshot files under dir and returns

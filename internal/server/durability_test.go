@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"provmin/internal/engine"
 	"provmin/internal/persist"
@@ -21,7 +20,7 @@ func durableServer(t *testing.T, dir string) (*httptest.Server, *engine.Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(engine.Config{Workers: 2, IngestBatchSize: 8, IngestMaxWait: time.Millisecond, Persist: l})
+	eng := engine.New(engine.Config{Workers: 2, IngestBatchSize: 8, Persist: l})
 	ts := httptest.NewServer(New(eng))
 	return ts, eng, l
 }

@@ -56,7 +56,7 @@ start_node() {
         -data-dir "$work/$name" -wal-sync always \
         -cold-dir "$work/cold" \
         -node-name "$name" -peers "$PEERS" -probe-interval 500ms \
-        -batch 1 -batch-wait 1ms \
+        -batch 1 \
         >>"$work/$name.log" 2>&1 &
     pid=$!
     pids="$pids $pid"
