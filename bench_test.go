@@ -1,8 +1,9 @@
 package provmin
 
-// Benchmark harness: one testing.B benchmark per experiment of
-// EXPERIMENTS.md. `go test -bench=. -benchmem` regenerates the measured
-// series; `cmd/benchtables` prints them as the paper-style tables.
+// Benchmark harness: one testing.B benchmark per experiment, in sections
+// numbered E1..E10 as in cmd/benchtables. `go test -bench=. -benchmem`
+// regenerates the measured series; `cmd/benchtables` prints them as the
+// paper-style tables.
 
 import (
 	"fmt"
@@ -44,11 +45,10 @@ func BenchmarkEvalTriangleRandomGraph(b *testing.B) {
 	}
 }
 
-// Evaluator ablation (DESIGN.md): each arm toggles one layer of the
-// evaluation stack — interned vs string join keys, cardinality statistics
-// on/off, sequential vs parallel probe, hash vs nested-loop join. Arm
-// names use key=value segments so the bench pipeline's name handling
-// ('=' inside multiple '/' segments) stays exercised by the real suite.
+// Evaluator ablation: the chain-4 query with the hash join's probe at its
+// default fan-out and forced parallel on every step. Arm names use
+// key=value segments so the bench pipeline's name handling ('=' inside
+// multiple '/' segments) stays exercised by the real suite.
 func BenchmarkEvalAblation(b *testing.B) {
 	d := db.NewInstance()
 	db.NewGenerator(2).RandomGraph(d, "R", 10, 40)
@@ -57,14 +57,8 @@ func BenchmarkEvalAblation(b *testing.B) {
 		name string
 		opts eval.Options
 	}{
-		{"join=hash/key=interned/par=seq", eval.Options{Join: eval.JoinHash}},
-		{"join=hash/key=interned/par=max", eval.Options{Join: eval.JoinHash, ParallelThreshold: 1}},
-		{"join=hash/key=interned/stats=off", eval.Options{Join: eval.JoinHash, NoStats: true}},
-		{"join=hash/key=string", eval.Options{Join: eval.JoinHash, NoIntern: true}},
-		{"join=nested-loop/order=greedy", eval.Options{Join: eval.JoinNestedLoop, Order: eval.OrderGreedy}},
-		{"join=nested-loop/order=as-written", eval.Options{Join: eval.JoinNestedLoop, Order: eval.OrderAsWritten}},
-		{"join=nested-loop/order=greedy/index=off", eval.Options{Join: eval.JoinNestedLoop, Order: eval.OrderGreedy, NoIndex: true}},
-		{"join=nested-loop/order=as-written/index=off", eval.Options{Join: eval.JoinNestedLoop, Order: eval.OrderAsWritten, NoIndex: true}},
+		{"join=hash/key=interned/par=seq", eval.Options{}},
+		{"join=hash/key=interned/par=max", eval.Options{ParallelThreshold: 1}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -88,8 +82,8 @@ func BenchmarkEvalParallelLargeGraph(b *testing.B) {
 		name string
 		opts eval.Options
 	}{
-		{"par=seq", eval.Options{Join: eval.JoinHash, Parallelism: 1}},
-		{"par=max", eval.Options{Join: eval.JoinHash, ParallelThreshold: 1}},
+		{"par=seq", eval.Options{Parallelism: 1}},
+		{"par=max", eval.Options{ParallelThreshold: 1}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -243,7 +237,7 @@ func BenchmarkEquivalenceGeneral(b *testing.B) {
 	}
 }
 
-// --- Order-relation ablation: exact matching vs greedy (DESIGN.md) ---
+// --- Order-relation ablation: exact matching vs greedy ---
 
 func BenchmarkPolyOrder(b *testing.B) {
 	p := cyclePolynomial(b, 3)

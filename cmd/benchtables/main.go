@@ -1,5 +1,6 @@
 // Command benchtables regenerates the paper's evaluation artifacts with
-// measured evidence (see EXPERIMENTS.md for the experiment index):
+// measured evidence (the E-numbers match the experiment sections of the
+// root package's bench_test.go):
 //
 //	-table 1        Table 1: summary of results, each cell verified (E1)
 //	-table blowup   Theorem 4.10: exponential output size of MinProv (E5)

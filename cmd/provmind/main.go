@@ -8,7 +8,7 @@
 // Usage:
 //
 //	provmind [-addr :8411] [-workers N] [-cache 1024]
-//	         [-eval-intern=true] [-eval-stats=true] [-eval-parallel 0]
+//	         [-eval-parallel 0]
 //	         [-result-cache-size 128] [-result-cache-bytes 33554432]
 //	         [-result-cache-maintain=true]
 //	         [-batch 256] [-shards 8]
@@ -83,8 +83,6 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8411", "listen address")
 		workers       = flag.Int("workers", 0, "evaluation worker count (0 = GOMAXPROCS)")
-		evalIntern    = flag.Bool("eval-intern", true, "evaluate joins on interned symbol ids (false = string keys, the ablation baseline)")
-		evalStats     = flag.Bool("eval-stats", true, "order joins with cardinality statistics (false = size-based planner)")
 		evalParallel  = flag.Int("eval-parallel", 0, "parallel hash-join probe workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheSize     = flag.Int("cache", 1024, "minimized-query LRU cache entries")
 		resCacheSize  = flag.Int("result-cache-size", 128, "result-cache entries per instance (0 disables result caching)")
@@ -218,12 +216,8 @@ func main() {
 		resBytes = -1
 	}
 	cfg := engine.Config{
-		Workers: *workers,
-		Eval: eval.Options{
-			NoIntern:    !*evalIntern,
-			NoStats:     !*evalStats,
-			Parallelism: *evalParallel,
-		},
+		Workers:                  *workers,
+		Eval:                     eval.Options{Parallelism: *evalParallel},
 		CacheSize:                *cacheSize,
 		ResultCacheSize:          resSize,
 		ResultCacheBytes:         resBytes,

@@ -49,43 +49,32 @@ type Row struct {
 
 // Relation is an annotated relation: an ordered list of tagged tuples with a
 // fixed arity. Insertion order is preserved so evaluation results are
-// deterministic.
+// deterministic. Relations belong to an Instance and share its symbol table.
 type Relation struct {
 	Name  string
 	Arity int
 	rows  []Row
-	byKey map[string]int     // tuple key -> row index
-	index []map[string][]int // column index: index[col][value] -> row indices
-	// indexMu guards the lazy build and reads of index and idIndex, making
-	// concurrent read-only use (RowsWith / RowsWithID from parallel
-	// evaluations) safe. Mutating methods (Add, Delete) still require
-	// external exclusion.
-	indexMu sync.Mutex
+	byKey map[string]int // tuple key -> row index
 
-	// Interned image of the rows (relations created via an Instance only):
-	// ids holds each row's tuple as symbol ids, row-major with stride
-	// Arity, so the evaluator joins on fixed-width integers; idIndex is the
-	// per-column index keyed by id; sketches are the per-column distinct-
-	// count statistics. Standalone relations (NewRelation) carry none of
-	// this and evaluation falls back to string keys.
+	// Interned image of the rows: ids holds each row's tuple as symbol ids,
+	// row-major with stride Arity, so the evaluator joins on fixed-width
+	// integers; idIndex is the lazily built per-column index keyed by id;
+	// sketches are the per-column distinct-count statistics.
 	intern   *SymbolTable
 	ids      []uint32
-	idIndex  []map[uint32][]int
 	sketches []distinctSketch
+	// indexMu guards the lazy build and reads of idIndex, making concurrent
+	// read-only use (RowsWithID from parallel evaluations) safe. Mutating
+	// methods (Add, Delete) still require external exclusion.
+	indexMu sync.Mutex
+	idIndex []map[uint32][]int
 }
 
-// NewRelation creates an empty relation.
-func NewRelation(name string, arity int) *Relation {
-	return &Relation{Name: name, Arity: arity, byKey: map[string]int{}}
-}
-
-// newInternedRelation creates an empty relation wired to an instance's
-// symbol table.
-func newInternedRelation(name string, arity int, intern *SymbolTable) *Relation {
-	r := NewRelation(name, arity)
-	r.intern = intern
-	r.sketches = make([]distinctSketch, arity)
-	return r
+// newRelation creates an empty relation wired to an instance's symbol
+// table.
+func newRelation(name string, arity int, intern *SymbolTable) *Relation {
+	return &Relation{Name: name, Arity: arity, byKey: map[string]int{},
+		intern: intern, sketches: make([]distinctSketch, arity)}
 }
 
 // Add inserts a tagged tuple. Adding a tuple that already exists replaces
@@ -102,15 +91,12 @@ func (r *Relation) Add(tag string, values ...string) error {
 	}
 	r.rows = append(r.rows, Row{Tuple: t, Tag: tag})
 	r.byKey[t.Key()] = len(r.rows) - 1
-	r.index = nil // invalidate
-	if r.intern != nil {
-		for c, v := range t {
-			id := r.intern.Intern(v)
-			r.ids = append(r.ids, id)
-			r.sketches[c].add(r.intern.Hash(id))
-		}
-		r.idIndex = nil
+	for c, v := range t {
+		id := r.intern.Intern(v)
+		r.ids = append(r.ids, id)
+		r.sketches[c].add(r.intern.Hash(id))
 	}
+	r.idIndex = nil
 	return nil
 }
 
@@ -134,14 +120,11 @@ func (r *Relation) Delete(values ...string) bool {
 	for j := i; j < len(r.rows); j++ {
 		r.byKey[r.rows[j].Tuple.Key()] = j
 	}
-	r.index = nil
-	if r.intern != nil {
-		// Splice the row's interned image so ids stays row-aligned. The
-		// sketches are monotone and keep counting the deleted value — an
-		// upper bound is fine for planning (see stats.go).
-		r.ids = append(r.ids[:i*r.Arity], r.ids[(i+1)*r.Arity:]...)
-		r.idIndex = nil
-	}
+	// Splice the row's interned image so ids stays row-aligned. The
+	// sketches are monotone and keep counting the deleted value — an upper
+	// bound is fine for planning (see stats.go).
+	r.ids = append(r.ids[:i*r.Arity], r.ids[(i+1)*r.Arity:]...)
+	r.idIndex = nil
 	return true
 }
 
@@ -165,50 +148,21 @@ func (r *Relation) TagOf(values ...string) string {
 	return ""
 }
 
-// RowsWith returns the indices of rows whose column col equals val, using a
-// lazily built per-column index. The build is guarded by indexMu so that
-// concurrent read-only evaluations (e.g. parallel queries in the provmind
-// engine, which hold only a read lock on the instance) can share one
-// relation; writers still require external exclusion, as Add/Delete mutate
-// rows without this lock.
-func (r *Relation) RowsWith(col int, val string) []int {
-	if col < 0 || col >= r.Arity {
-		return nil
-	}
-	r.indexMu.Lock()
-	if r.index == nil {
-		idx := make([]map[string][]int, r.Arity)
-		for c := 0; c < r.Arity; c++ {
-			idx[c] = map[string][]int{}
-		}
-		for i, row := range r.rows {
-			for c, v := range row.Tuple {
-				idx[c][v] = append(idx[c][v], i)
-			}
-		}
-		r.index = idx
-	}
-	rows := r.index[col][val]
-	r.indexMu.Unlock()
-	return rows
-}
-
-// Interned reports whether the relation carries an interned image of its
-// rows (relations created through an Instance always do).
-func (r *Relation) Interned() bool { return r.intern != nil }
-
 // RowIDs returns row i's tuple as symbol ids (stride-Arity view into the
-// relation's interned storage). Only valid when Interned; the slice must
-// not be modified.
+// relation's interned storage). The slice must not be modified.
 func (r *Relation) RowIDs(i int) []uint32 {
 	return r.ids[i*r.Arity : (i+1)*r.Arity]
 }
 
-// RowsWithID is RowsWith on the interned image: the indices of rows whose
-// column col holds the value with symbol id. The lazy build shares indexMu
-// with the string index, so concurrent read-only evaluations are safe.
+// RowsWithID returns the indices of rows whose column col holds the value
+// with symbol id, in ascending order, using a lazily built per-column
+// index; nil when col is out of range. The build is guarded by indexMu so
+// that concurrent read-only evaluations (e.g. parallel queries in the
+// provmind engine, which hold only a read lock on the instance) can share
+// one relation; writers still require external exclusion, as Add/Delete
+// mutate rows without this lock.
 func (r *Relation) RowsWithID(col int, id uint32) []int {
-	if r.intern == nil || col < 0 || col >= r.Arity {
+	if col < 0 || col >= r.Arity {
 		return nil
 	}
 	r.indexMu.Lock()
@@ -218,8 +172,7 @@ func (r *Relation) RowsWithID(col int, id uint32) []int {
 			idx[c] = map[uint32][]int{}
 		}
 		for i := 0; i < len(r.rows); i++ {
-			row := r.ids[i*r.Arity : (i+1)*r.Arity]
-			for c, v := range row {
+			for c, v := range r.RowIDs(i) {
 				idx[c][v] = append(idx[c][v], i)
 			}
 		}
@@ -228,15 +181,6 @@ func (r *Relation) RowsWithID(col int, id uint32) []int {
 	rows := r.idIndex[col][id]
 	r.indexMu.Unlock()
 	return rows
-}
-
-// Clone returns a deep copy of the relation.
-func (r *Relation) Clone() *Relation {
-	out := NewRelation(r.Name, r.Arity)
-	for _, row := range r.rows {
-		out.MustAdd(row.Tag, row.Tuple...)
-	}
-	return out
 }
 
 // Instance is a database instance: a set of annotated relations sharing one
@@ -262,7 +206,7 @@ func (d *Instance) Relation(name string, arity int) (*Relation, error) {
 		}
 		return r, nil
 	}
-	r := newInternedRelation(name, arity, d.symbols)
+	r := newRelation(name, arity, d.symbols)
 	d.rels[name] = r
 	d.order = append(d.order, name)
 	return r, nil

@@ -88,25 +88,34 @@ func TestDelete(t *testing.T) {
 func TestRowsWithIndex(t *testing.T) {
 	d := paperRelationR()
 	r := d.Lookup("R")
-	rows := r.RowsWith(0, "a")
+	id := func(v string) uint32 {
+		t.Helper()
+		id, ok := d.Symbols().Lookup(v)
+		if !ok {
+			t.Fatalf("value %q not interned", v)
+		}
+		return id
+	}
+	rows := r.RowsWithID(0, id("a"))
 	if len(rows) != 2 {
-		t.Fatalf("RowsWith(0,a) = %v", rows)
+		t.Fatalf("RowsWithID(0,a) = %v", rows)
 	}
 	for _, i := range rows {
 		if r.Rows()[i].Tuple[0] != "a" {
 			t.Errorf("row %d does not match", i)
 		}
 	}
-	if got := r.RowsWith(1, "zzz"); len(got) != 0 {
-		t.Errorf("RowsWith miss = %v", got)
+	d.Symbols().Intern("zzz") // interned, but stored in no row of R
+	if got := r.RowsWithID(1, id("zzz")); len(got) != 0 {
+		t.Errorf("RowsWithID miss = %v", got)
 	}
-	if got := r.RowsWith(5, "a"); got != nil {
+	if got := r.RowsWithID(5, id("a")); got != nil {
 		t.Errorf("out-of-range column = %v", got)
 	}
 	// Index must invalidate after mutation.
 	r.MustAdd("s5", "a", "c")
-	if got := r.RowsWith(0, "a"); len(got) != 3 {
-		t.Errorf("RowsWith after add = %v", got)
+	if got := r.RowsWithID(0, id("a")); len(got) != 3 {
+		t.Errorf("RowsWithID after add = %v", got)
 	}
 }
 

@@ -42,9 +42,6 @@ func TestRelationInternedRowsTrackAddDelete(t *testing.T) {
 	r.MustAdd("t1", "x", "y")
 	r.MustAdd("t2", "y", "z")
 	r.MustAdd("t3", "x", "z")
-	if !r.Interned() {
-		t.Fatal("instance relation not interned")
-	}
 	checkAligned := func() {
 		t.Helper()
 		for i, row := range r.Rows() {
@@ -139,7 +136,10 @@ func TestDistinctEstimateTracksCardinality(t *testing.T) {
 		t.Fatalf("estimates cannot rank columns: hi=%.0f lo=%.0f", hi, lo)
 	}
 
-	if _, ok := NewRelation("S", 1).DistinctEstimate(0); ok {
-		t.Fatal("standalone relation reported statistics")
+	if _, ok := r.DistinctEstimate(2); ok {
+		t.Fatal("out-of-range column reported statistics")
+	}
+	if _, ok := d.MustRelation("S", 1).DistinctEstimate(0); ok {
+		t.Fatal("empty relation reported statistics")
 	}
 }

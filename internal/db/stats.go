@@ -65,10 +65,9 @@ func (s *distinctSketch) estimate() float64 {
 // DistinctEstimate returns the approximate count of distinct values in the
 // column, clamped to [1, Len] (a non-empty column has at least one distinct
 // value and at most one per row). It returns (0, false) when the relation
-// carries no statistics — rows added outside an instance — or the column is
-// out of range; callers fall back to size-based planning.
+// is empty or the column is out of range.
 func (r *Relation) DistinctEstimate(col int) (float64, bool) {
-	if r.sketches == nil || col < 0 || col >= r.Arity || r.Len() == 0 {
+	if col < 0 || col >= r.Arity || r.Len() == 0 {
 		return 0, false
 	}
 	e := r.sketches[col].estimate()
@@ -84,9 +83,6 @@ func (r *Relation) DistinctEstimate(col int) (float64, bool) {
 // Stats renders the relation's per-column distinct estimates for
 // introspection (admin endpoints, tests).
 func (r *Relation) Stats() string {
-	if r.sketches == nil {
-		return fmt.Sprintf("%s/%d: no statistics", r.Name, r.Arity)
-	}
 	s := fmt.Sprintf("%s/%d rows=%d distinct~[", r.Name, r.Arity, r.Len())
 	for c := 0; c < r.Arity; c++ {
 		if c > 0 {

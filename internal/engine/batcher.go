@@ -279,7 +279,7 @@ func (b *ingestBatcher) maintain(plan []maintainTask, gen uint64, oldLen map[str
 	defer b.inst.mu.RUnlock()
 	for _, task := range plan {
 		start := time.Now()
-		delta, err := eval.EvalUCQDeltaOpts(task.u, b.inst.db, oldLen, b.eng.cfg.Eval)
+		delta, err := eval.EvalUCQDelta(task.u, b.inst.db, oldLen)
 		if err != nil {
 			// planMaintenance filters every known-failing shape; anything
 			// that still errors is dropped rather than promoted wrongly.

@@ -414,10 +414,10 @@ func TestDurableIngestConcurrent(t *testing.T) {
 
 // TestSymbolTableSurvivesRecovery: interned symbol ids are part of durable
 // state (snapshot envelopes carry the table, WAL replay re-interns in
-// apply order), so a recovered instance must answer interned-key queries
-// byte-identically to string-key evaluation, and every stored row id must
-// still resolve to the value the writer interned — across the snapshot,
-// the compacted-WAL suffix, and a post-recovery ingest.
+// apply order), so a recovered instance must answer queries
+// byte-identically to a freshly interned copy of itself, and every stored
+// row id must still resolve to the value the writer interned — across the
+// snapshot, the compacted-WAL suffix, and a post-recovery ingest.
 func TestSymbolTableSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	e := durableEngine(t, dir, 4)
@@ -467,7 +467,8 @@ func TestSymbolTableSurvivesRecovery(t *testing.T) {
 	}
 	in.mu.RLock()
 	// Every stored id must resolve back to the value it was interned from,
-	// and interned vs string-key evaluation must agree on the recovered db.
+	// and evaluation must agree with a freshly interned copy of the
+	// recovered db.
 	for _, rel := range in.db.Relations() {
 		for i, row := range rel.Rows() {
 			for c, v := range row.Tuple {
@@ -478,18 +479,18 @@ func TestSymbolTableSurvivesRecovery(t *testing.T) {
 			}
 		}
 	}
-	interned, err := eval.EvalUCQOpts(q, in.db, eval.Options{})
+	recovered, err := eval.EvalUCQ(q, in.db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strKeys, err := eval.EvalUCQOpts(q, in.db, eval.Options{NoIntern: true})
+	fresh, err := eval.EvalUCQ(q, in.db.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	in.mu.RUnlock()
-	if interned.String() != strKeys.String() {
-		t.Errorf("interned eval diverges from string eval on recovered instance:\n%s\nvs\n%s",
-			interned, strKeys)
+	if recovered.String() != fresh.String() {
+		t.Errorf("recovered instance diverges from a freshly interned copy:\n%s\nvs\n%s",
+			recovered, fresh)
 	}
 
 	// The recovered table keeps interning: new values get fresh ids, old

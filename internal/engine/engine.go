@@ -66,10 +66,9 @@ import (
 type Config struct {
 	// Workers is the evaluation worker-pool size (default GOMAXPROCS).
 	Workers int
-	// Eval configures the evaluator for every query, core computation and
-	// delta maintenance run: join strategy, interning and statistics
-	// ablation switches, and intra-join parallelism. The zero value is the
-	// full stack (interned keys, cost-based planning, parallel probes).
+	// Eval configures the hash join's parallel probe for every query and
+	// core computation. The zero value fans large joins out across
+	// GOMAXPROCS workers.
 	Eval eval.Options
 	// CacheSize is the LRU capacity of the minimized-query cache
 	// (default 1024 entries).

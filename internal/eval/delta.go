@@ -3,7 +3,6 @@ package eval
 import (
 	"provmin/internal/db"
 	"provmin/internal/query"
-	"provmin/internal/semiring"
 )
 
 // EvalUCQDelta computes the semiring delta of a UCQ under a purely-additive
@@ -30,18 +29,16 @@ import (
 // delta rules suggests, would double-count assignments that use two or
 // more inserted rows.) Disequalities only filter assignments and never
 // depend on the instance, so they pass through the partition unchanged.
+//
+// Every delta term runs on the enumerator, starting from the inserted-row
+// window: the window is typically tiny relative to the relation, so the
+// greedy order arranges the rest around its bindings, where the hash
+// join's planner would order by relation size and bury the most selective
+// atom.
 func EvalUCQDelta(u *query.UCQ, d *db.Instance, oldLen map[string]int) (*Result, error) {
-	return EvalUCQDeltaOpts(u, d, oldLen, Options{})
-}
-
-// EvalUCQDeltaOpts is EvalUCQDelta with explicit evaluation options: the
-// delta windows run on the interned enumerator when the instance carries
-// symbol ids, with opts.NoIntern forcing the string enumerator for the
-// differential tests.
-func EvalUCQDeltaOpts(u *query.UCQ, d *db.Instance, oldLen map[string]int, opts Options) (*Result, error) {
 	res := newResult()
 	for _, q := range u.Adjuncts {
-		if err := deltaCQInto(res, q, d, oldLen, opts); err != nil {
+		if err := deltaCQInto(res, q, d, oldLen); err != nil {
 			return nil, err
 		}
 	}
@@ -49,11 +46,15 @@ func EvalUCQDeltaOpts(u *query.UCQ, d *db.Instance, oldLen map[string]int, opts 
 	return res, nil
 }
 
-func deltaCQInto(res *Result, q *query.CQ, d *db.Instance, oldLen map[string]int, opts Options) error {
-	if err := validateCQ(q, d); err != nil {
+func deltaCQInto(res *Result, q *query.CQ, d *db.Instance, oldLen map[string]int) error {
+	c, err := compileCQ(q, d)
+	if err != nil {
 		return err
 	}
-	interned := !opts.NoIntern && !opts.NoIndex && internedAvailable(q, d)
+	emit := func(rows []int, binding []uint32) error {
+		res.addWitness(c.headTuple(binding), c.monomial(rows))
+		return nil
+	}
 	for i, at := range q.Atoms {
 		lo, touched := oldLen[at.Rel]
 		if !touched {
@@ -78,64 +79,9 @@ func deltaCQInto(res *Result, q *query.CQ, d *db.Instance, oldLen map[string]int
 				ranges[j] = rowRange{lo: 0, hi: -1}
 			}
 		}
-		// The delta window is typically tiny relative to the relation, so
-		// start enumeration there and let the greedy order arrange the rest
-		// around its bindings; the general planner would order by relation
-		// size and bury the most selective atom.
-		if interned {
-			if err := internedEnumEval(res, q, d, deltaAtomOrder(q, i), ranges); err != nil {
-				return err
-			}
-			continue
-		}
-		e := &enumerator{q: q, d: d, order: deltaAtomOrder(q, i), ranges: ranges,
-			fn: func(a Assignment) error {
-				res.add(headTuple(q, a.Binding), semiring.FromMonomial(assignmentMonomial(q, d, a), 1))
-				return nil
-			},
-			binding: map[string]string{}, rows: make([]int, len(q.Atoms))}
-		if err := e.extend(0); err != nil {
+		if err := c.forEach(i, ranges, emit); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// deltaAtomOrder is atomOrder's greedy heuristic with the delta-bound atom
-// forced first: its row window is the batch size, almost always the most
-// selective starting point.
-func deltaAtomOrder(q *query.CQ, deltaIdx int) []int {
-	n := len(q.Atoms)
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	take := func(i int) {
-		order = append(order, i)
-		used[i] = true
-		for _, a := range q.Atoms[i].Args {
-			if !a.Const {
-				bound[a.Name] = true
-			}
-		}
-	}
-	take(deltaIdx)
-	for len(order) < n {
-		best, bestScore := -1, -1
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			score := 0
-			for _, a := range q.Atoms[i].Args {
-				if a.Const || bound[a.Name] {
-					score++
-				}
-			}
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		take(best)
-	}
-	return order
 }

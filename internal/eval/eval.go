@@ -19,36 +19,8 @@ import (
 	"provmin/internal/semiring"
 )
 
-// AtomOrder selects the join-order heuristic for assignment enumeration.
-type AtomOrder int
-
-const (
-	// OrderGreedy reorders atoms so each step binds as many already-bound
-	// variables as possible (most-constrained-first). The default.
-	OrderGreedy AtomOrder = iota
-	// OrderAsWritten enumerates atoms in the body order of the query. Used
-	// by the evaluator ablation benchmark.
-	OrderAsWritten
-)
-
-// JoinStrategy selects how conjuncts are combined.
-type JoinStrategy int
-
-const (
-	// JoinHash joins conjuncts set-at-a-time with hash joins on their
-	// shared variables, ordered by a selectivity planner (hashjoin.go).
-	// The default. Conjuncts with fewer than hashJoinMinAtoms atoms fall
-	// back to the enumerator: below that the hash build cost exceeds the
-	// join it saves.
-	JoinHash JoinStrategy = iota
-	// JoinNestedLoop enumerates assignments tuple-at-a-time with the
-	// backtracking enumerator — the ablation baseline, and the engine
-	// behind ForEachAssignment.
-	JoinNestedLoop
-)
-
-// hashJoinMinAtoms is the conjunct size from which JoinHash actually hash
-// joins; smaller conjuncts do at most one join, where the tuple-at-a-time
+// hashJoinMinAtoms is the conjunct size from which evaluation hash joins;
+// smaller conjuncts do at most one join, where the tuple-at-a-time
 // enumerator is measurably cheaper (no per-relation hash build). A
 // variable so the differential tests can force the hash path on small
 // queries too.
@@ -56,18 +28,9 @@ var hashJoinMinAtoms = 3
 
 // Options configures evaluation.
 type Options struct {
-	Join    JoinStrategy
-	Order   AtomOrder // nested-loop only: atom-order heuristic
-	NoIndex bool      // nested-loop only: disable the per-column index
-	// NoIntern disables the interned (symbol-id) evaluator and keeps join
-	// keys as strings — the ablation baseline for the interning step.
-	NoIntern bool
-	// NoStats disables the cardinality-statistics join planner; the hash
-	// join falls back to the size-based selectivity order.
-	NoStats bool
 	// Parallelism bounds the worker count of the parallel hash-join probe:
-	// 1 evaluates sequentially (the ablation baseline), 0 or below means
-	// GOMAXPROCS. Only joins past ParallelThreshold fan out at all.
+	// 1 evaluates sequentially, 0 or below means GOMAXPROCS. Only joins
+	// past ParallelThreshold fan out at all.
 	Parallelism int
 	// ParallelThreshold is the minimum number of partial assignments a join
 	// step must carry before its probe is split across workers; 0 selects
@@ -98,28 +61,20 @@ func EvalCQOpts(q *query.CQ, d *db.Instance, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// evalCQInto accumulates one adjunct's assignments into res with the
-// configured join strategy. Every strategy contributes the same
-// (tuple, monomial) multiset, so results are identical across all of them;
-// the interned paths are preferred whenever the instance carries symbol
-// ids, with NoIntern forcing the string-keyed originals for ablation.
+// evalCQInto accumulates one adjunct's assignments into res: conjuncts of
+// hashJoinMinAtoms or more atoms are hash joined, smaller ones enumerated.
+// Both contribute the same (tuple, monomial) multiset.
 func evalCQInto(res *Result, q *query.CQ, d *db.Instance, opts Options) error {
-	interned := !opts.NoIntern && internedAvailable(q, d)
-	if opts.Join == JoinHash && len(q.Atoms) >= hashJoinMinAtoms {
-		if interned {
-			return hashEvalCQInterned(res, q, d, opts)
-		}
-		return hashEvalCQ(res, q, d, opts)
+	c, err := compileCQ(q, d)
+	if err != nil {
+		return err
 	}
-	if opts.Join == JoinHash && interned && !opts.NoIndex {
-		// Small conjunct under the hash strategy: the tuple-at-a-time
-		// enumerator wins, and its interned twin wins harder.
-		return internedEnumEval(res, q, d, atomOrder(q, opts.Order), nil)
+	if len(c.atoms) >= hashJoinMinAtoms {
+		c.hashJoin(res, opts)
+		return nil
 	}
-	return ForEachAssignment(q, d, opts, func(a Assignment) error {
-		t := headTuple(q, a.Binding)
-		m := assignmentMonomial(q, d, a)
-		res.add(t, semiring.FromMonomial(m, 1))
+	return c.forEach(-1, nil, func(rows []int, binding []uint32) error {
+		res.addWitness(c.headTuple(binding), c.monomial(rows))
 		return nil
 	})
 }
@@ -170,10 +125,9 @@ func EvalInSemiring[T any](u *query.UCQ, d *db.Instance, k semiring.Semiring[T],
 	return out, tuples, nil
 }
 
-// validateCQ is the shared entry check of both join strategies: the query
-// must be well-formed and every atom must agree with its relation's arity.
-// One copy keeps the error wording identical across strategies — the
-// server's HTTP status mapping matches on it.
+// validateCQ is the entry check of every evaluation path: the query must
+// be well-formed and every atom must agree with its relation's arity. The
+// server's HTTP status mapping matches on the error wording.
 func validateCQ(q *query.CQ, d *db.Instance) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -189,236 +143,12 @@ func validateCQ(q *query.CQ, d *db.Instance) error {
 // ForEachAssignment enumerates every satisfying assignment of q over d and
 // invokes fn for each. Enumeration order is deterministic. fn may return an
 // error to abort.
-func ForEachAssignment(q *query.CQ, d *db.Instance, opts Options, fn func(Assignment) error) error {
-	if err := validateCQ(q, d); err != nil {
+func ForEachAssignment(q *query.CQ, d *db.Instance, fn func(Assignment) error) error {
+	c, err := compileCQ(q, d)
+	if err != nil {
 		return err
 	}
-	order := atomOrder(q, opts.Order)
-	e := &enumerator{q: q, d: d, opts: opts, order: order, fn: fn,
-		binding: map[string]string{}, rows: make([]int, len(q.Atoms))}
-	return e.extend(0)
-}
-
-// atomOrder returns the order in which body atoms are matched.
-func atomOrder(q *query.CQ, mode AtomOrder) []int {
-	n := len(q.Atoms)
-	order := make([]int, n)
-	if mode == OrderAsWritten {
-		for i := range order {
-			order[i] = i
-		}
-		return order
-	}
-	used := make([]bool, n)
-	bound := map[string]bool{}
-	for step := 0; step < n; step++ {
-		best, bestScore := -1, -1
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			score := 0
-			for _, a := range q.Atoms[i].Args {
-				if a.Const || bound[a.Name] {
-					score++
-				}
-			}
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		order[step] = best
-		used[best] = true
-		for _, a := range q.Atoms[best].Args {
-			if !a.Const {
-				bound[a.Name] = true
-			}
-		}
-	}
-	return order
-}
-
-type enumerator struct {
-	q       *query.CQ
-	d       *db.Instance
-	opts    Options
-	order   []int
-	fn      func(Assignment) error
-	binding map[string]string
-	rows    []int
-	// ranges, when non-nil, restricts each body atom (by atom index) to a
-	// row window of its relation. Used by the delta evaluator to split a
-	// relation into its pre-insert prefix and inserted suffix.
-	ranges []rowRange
-}
-
-// rowRange is a half-open row window [lo, hi); hi < 0 means the relation's
-// full current length.
-type rowRange struct{ lo, hi int }
-
-func (e *enumerator) extend(step int) error {
-	if step == len(e.order) {
-		if !e.diseqsSatisfied() {
-			return nil
-		}
-		rows := make([]int, len(e.rows))
-		copy(rows, e.rows)
-		b := make(map[string]string, len(e.binding))
-		for k, v := range e.binding {
-			b[k] = v
-		}
-		return e.fn(Assignment{Rows: rows, Binding: b})
-	}
-	atomIdx := e.order[step]
-	at := e.q.Atoms[atomIdx]
-	rel := e.d.Lookup(at.Rel)
-	if rel == nil {
-		return nil // empty relation: no assignments
-	}
-	for _, rowIdx := range e.candidates(atomIdx, rel, at) {
-		row := rel.Rows()[rowIdx]
-		newly, ok := e.tryBind(at, row.Tuple)
-		if ok && e.diseqsConsistent() {
-			e.rows[atomIdx] = rowIdx
-			if err := e.extend(step + 1); err != nil {
-				return err
-			}
-		}
-		for _, v := range newly {
-			delete(e.binding, v)
-		}
-	}
-	return nil
-}
-
-// candidates returns the row indices that could match the atom, using the
-// column index on the first bound position when available, restricted to
-// the atom's row window when one is set.
-func (e *enumerator) candidates(atomIdx int, rel *db.Relation, at query.Atom) []int {
-	lo, hi := 0, rel.Len()
-	if e.ranges != nil {
-		r := e.ranges[atomIdx]
-		lo = r.lo
-		if r.hi >= 0 && r.hi < hi {
-			hi = r.hi
-		}
-	}
-	if !e.opts.NoIndex {
-		for col, a := range at.Args {
-			var rows []int
-			if a.Const {
-				rows = rel.RowsWith(col, a.Name)
-			} else if v, ok := e.binding[a.Name]; ok {
-				rows = rel.RowsWith(col, v)
-			} else {
-				continue
-			}
-			if lo == 0 && hi == rel.Len() {
-				return rows
-			}
-			in := make([]int, 0, len(rows))
-			for _, i := range rows {
-				if i >= lo && i < hi {
-					in = append(in, i)
-				}
-			}
-			return in
-		}
-	}
-	all := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		all = append(all, i)
-	}
-	return all
-}
-
-// tryBind attempts to unify the atom's arguments with the tuple, extending
-// the binding. It returns the variables newly bound (for rollback) and
-// whether unification succeeded; on failure the binding is already restored.
-func (e *enumerator) tryBind(at query.Atom, t db.Tuple) (newly []string, ok bool) {
-	for i, a := range at.Args {
-		if a.Const {
-			if a.Name != t[i] {
-				e.rollback(newly)
-				return nil, false
-			}
-			continue
-		}
-		if v, bound := e.binding[a.Name]; bound {
-			if v != t[i] {
-				e.rollback(newly)
-				return nil, false
-			}
-			continue
-		}
-		e.binding[a.Name] = t[i]
-		newly = append(newly, a.Name)
-	}
-	return newly, true
-}
-
-func (e *enumerator) rollback(newly []string) {
-	for _, v := range newly {
-		delete(e.binding, v)
-	}
-}
-
-// diseqsConsistent checks only disequalities whose sides are both decided;
-// it prunes the search without rejecting extendable partial bindings.
-func (e *enumerator) diseqsConsistent() bool {
-	for _, d := range e.q.Diseqs {
-		l, lok := e.valueOf(d.Left)
-		r, rok := e.valueOf(d.Right)
-		if lok && rok && l == r {
-			return false
-		}
-	}
-	return true
-}
-
-// diseqsSatisfied verifies every disequality under the full binding.
-func (e *enumerator) diseqsSatisfied() bool {
-	for _, d := range e.q.Diseqs {
-		l, lok := e.valueOf(d.Left)
-		r, rok := e.valueOf(d.Right)
-		if !lok || !rok {
-			return false // unbound diseq variable: invalid query, but Validate catches it
-		}
-		if l == r {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *enumerator) valueOf(a query.Arg) (string, bool) {
-	if a.Const {
-		return a.Name, true
-	}
-	v, ok := e.binding[a.Name]
-	return v, ok
-}
-
-// headTuple instantiates the head under a binding.
-func headTuple(q *query.CQ, binding map[string]string) db.Tuple {
-	out := make(db.Tuple, len(q.Head.Args))
-	for i, a := range q.Head.Args {
-		if a.Const {
-			out[i] = a.Name
-		} else {
-			out[i] = binding[a.Name]
-		}
-	}
-	return out
-}
-
-// assignmentMonomial computes the product of the annotations of the rows an
-// assignment uses, with multiplicity (Def. 2.12).
-func assignmentMonomial(q *query.CQ, d *db.Instance, a Assignment) semiring.Monomial {
-	tags := make([]string, 0, len(q.Atoms))
-	for i, at := range q.Atoms {
-		rel := d.Lookup(at.Rel)
-		tags = append(tags, rel.Rows()[a.Rows[i]].Tag)
-	}
-	return semiring.NewMonomial(tags...)
+	return c.forEach(-1, nil, func(rows []int, binding []uint32) error {
+		return fn(c.assignment(rows, binding))
+	})
 }

@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"provmin/internal/db"
@@ -235,31 +238,9 @@ func TestEvalArityMismatchFails(t *testing.T) {
 }
 
 func TestEvalOrderInvariance(t *testing.T) {
-	// The provenance result must not depend on the join strategy, the
-	// nested-loop join-order heuristic or the per-column index. Join must
-	// be pinned explicitly: without it every variant would silently take
-	// the (default) hash-join path and compare it against itself.
-	d := table4()
-	q := query.MustParse(qNoPminTxt)
-	greedy, err := EvalCQOpts(q, d, Options{Join: JoinNestedLoop, Order: OrderGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := EvalCQOpts(q, d, Options{Join: JoinNestedLoop, Order: OrderAsWritten})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noIndex, err := EvalCQOpts(q, d, Options{Join: JoinNestedLoop, Order: OrderGreedy, NoIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hash, err := EvalCQOpts(q, d, Options{Join: JoinHash})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !greedy.SameAnnotated(naive) || !greedy.SameAnnotated(noIndex) || !greedy.SameAnnotated(hash) {
-		t.Errorf("evaluation options changed the result:\n%s\nvs\n%s\nvs\n%s\nvs\n%s", greedy, naive, noIndex, hash)
-	}
+	// The provenance result must not depend on the join shape: the hash
+	// join, the enumerator and the parallel hash join all match the oracle.
+	evalAllModes(t, query.MustParseUnion(qNoPminTxt), table4())
 }
 
 func TestForEachAssignmentCount(t *testing.T) {
@@ -268,7 +249,7 @@ func TestForEachAssignmentCount(t *testing.T) {
 	counts := make([]int, len(u.Adjuncts))
 	for i, q := range u.Adjuncts {
 		n := 0
-		if err := ForEachAssignment(q, table2(), Options{}, func(Assignment) error {
+		if err := ForEachAssignment(q, table2(), func(Assignment) error {
 			n++
 			return nil
 		}); err != nil {
@@ -343,5 +324,88 @@ func TestCrossProductNoSharedVars(t *testing.T) {
 	want := semiring.MustParsePolynomial("r1*t1 + r2*t1")
 	if got := mustProv(t, res, db.Tuple{}); !got.Equal(want) {
 		t.Errorf("prov = %v, want %v", got, want)
+	}
+}
+
+// pinInstance is the fixture of TestAssignmentOrderPinned: two binary
+// relations, a unary and a ternary one, with enough shared values that
+// constants and bound variables both drive index lookups.
+func pinInstance() *db.Instance {
+	d := db.NewInstance()
+	for _, f := range [][]string{
+		{"R", "r1", "a", "b"}, {"R", "r2", "b", "c"}, {"R", "r3", "a", "c"},
+		{"R", "r4", "c", "a"}, {"R", "r5", "b", "a"}, {"R", "r6", "c", "c"},
+		{"R", "r7", "a", "a"},
+		{"S", "s1", "a"}, {"S", "s2", "c"}, {"S", "s3", "b"},
+		{"T", "t1", "a", "b", "c"}, {"T", "t2", "b", "c", "a"},
+		{"T", "t3", "a", "c", "c"}, {"T", "t4", "a", "a", "b"},
+	} {
+		d.MustAdd(f[0], f[1], f[2:]...)
+	}
+	return d
+}
+
+// renderAssignment prints an assignment's rows and its binding in
+// variable-name order.
+func renderAssignment(a Assignment) string {
+	vars := make([]string, 0, len(a.Binding))
+	for v := range a.Binding {
+		vars = append(vars, v)
+	}
+	sort.Strings(vars)
+	var b strings.Builder
+	fmt.Fprintf(&b, "rows=%v", a.Rows)
+	for _, v := range vars {
+		fmt.Fprintf(&b, " %s=%s", v, a.Binding[v])
+	}
+	return b.String()
+}
+
+// TestAssignmentOrderPinned fixes the rows, bindings and enumeration order
+// of ForEachAssignment and Derivations — what `provmin explain` prints —
+// on multi-atom queries whose atoms are reached through constant and
+// bound-variable index lookups.
+func TestAssignmentOrderPinned(t *testing.T) {
+	d := pinInstance()
+	var got []string
+	q := query.MustParse("ans(x,z) :- R(x,y), R(y,z), T('a',y,w), S(z), x != z")
+	if err := ForEachAssignment(q, d, func(a Assignment) error {
+		got = append(got, renderAssignment(a))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	u := query.MustParseUnion("ans(x) :- R(x,y), R(y,x), S(y)\n" +
+		"ans(x) :- T(x,y,'c'), R(y,'a')\nans(x) :- R(x,x), T(x,y,z)")
+	ds, err := Derivations(u, d, db.Tuple{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dv := range ds {
+		got = append(got, fmt.Sprintf("adjunct %d %s %s", dv.AdjunctIdx, renderAssignment(dv.Assignment), dv.Monomial))
+	}
+	want := []string{
+		"rows=[0 1 0 1] w=c x=a y=b z=c",
+		"rows=[1 3 2 0] w=c x=b y=c z=a",
+		"rows=[1 5 2 1] w=c x=b y=c z=c",
+		"rows=[2 5 2 1] w=c x=a y=c z=c",
+		"rows=[5 3 2 0] w=c x=c y=c z=a",
+		"rows=[3 0 3 2] w=b x=c y=a z=b",
+		"rows=[3 6 3 0] w=b x=c y=a z=a",
+		"rows=[4 2 3 1] w=b x=b y=a z=c",
+		"rows=[4 6 3 0] w=b x=b y=a z=a",
+		"rows=[6 0 3 2] w=b x=a y=a z=b",
+		"rows=[6 2 3 1] w=b x=a y=a z=c",
+		"adjunct 0 rows=[0 4 2] x=a y=b r1*r5*s3",
+		"adjunct 0 rows=[2 3 1] x=a y=c r3*r4*s2",
+		"adjunct 0 rows=[6 6 0] x=a y=a r7^2*s1",
+		"adjunct 1 rows=[0 4] x=a y=b r5*t1",
+		"adjunct 1 rows=[2 3] x=a y=c r4*t3",
+		"adjunct 2 rows=[6 0] x=a y=b z=c r7*t1",
+		"adjunct 2 rows=[6 2] x=a y=c z=c r7*t3",
+		"adjunct 2 rows=[6 3] x=a y=a z=b r7*t4",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("enumeration drifted:\n%s", strings.Join(got, "\n"))
 	}
 }

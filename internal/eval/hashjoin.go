@@ -1,305 +1,51 @@
 package eval
 
-import (
-	"encoding/binary"
-
-	"provmin/internal/db"
-	"provmin/internal/query"
-	"provmin/internal/semiring"
-)
-
-// This file is the set-at-a-time evaluator: instead of enumerating
-// assignments tuple by tuple (the nested-loop path in eval.go), it joins
-// whole conjuncts with hash joins on their shared variables, in an order a
-// small planner picks by estimated selectivity. Both evaluators realize
-// Def. 2.12 exactly — one monomial per satisfying assignment — so their
-// results are identical; the hash join only changes the cost of getting
-// there: each relation is hashed once per conjunct instead of probed once
-// per partial assignment, and partial assignments are parent-linked trie
-// nodes instead of per-row binding maps.
-
-// hashEvalCQ evaluates one conjunctive query set-at-a-time and accumulates
-// every satisfying assignment's head tuple and monomial into res.
-func hashEvalCQ(res *Result, q *query.CQ, d *db.Instance, opts Options) error {
-	if err := validateCQ(q, d); err != nil {
-		return err
-	}
-	// Constant-constant disequalities are statically decided: an equal pair
-	// makes the query unsatisfiable, an unequal pair always holds.
-	for _, dq := range q.Diseqs {
-		if dq.Left.Const && dq.Right.Const && dq.Left.Name == dq.Right.Name {
-			return nil
-		}
-	}
-	if len(q.Atoms) == 0 {
-		// No relational atoms: exactly the empty assignment (variables
-		// cannot occur anywhere by safety), annotated with the unit 1.
-		res.add(headTuple(q, nil), semiring.FromMonomial(semiring.One, 1))
-		return nil
-	}
-	e := &hashEval{q: q, d: d, order: planAtomOrder(q, d, opts), varAt: map[string]varRef{}}
-	return e.run(res)
-}
-
-// varRef locates a variable's value inside the join trie: bound at plan
-// step, at position idx of that step's newly-bound values.
-type varRef struct {
-	step, idx int
-}
-
-// hjNode is one partial assignment after some plan step: the values of the
-// variables this step newly bound, the annotation tag of the row joined in,
-// and a link to the assignment it extends. Sharing the parent chain keeps
-// the pipeline allocation-light: emitting a row costs one node, never a
-// copy of the whole binding.
-type hjNode struct {
-	parent *hjNode
-	vals   []string // values of this step's new variables (shared, immutable)
-	tag    string
-}
-
-// value resolves a variable reference from the node for plan step `step`.
-func (n *hjNode) value(step int, ref varRef) string {
-	for ; step > ref.step; step-- {
-		n = n.parent
-	}
-	return n.vals[ref.idx]
-}
-
-type hashEval struct {
-	q     *query.CQ
-	d     *db.Instance
-	order []int
-	varAt map[string]varRef
-	key   []byte // reusable join-key scratch
-}
-
-func (e *hashEval) run(res *Result) error {
-	q := e.q
-	diseqStep := e.scheduleDiseqs()
-	cur := []*hjNode{{}}
-	for step, atomIdx := range e.order {
-		at := q.Atoms[atomIdx]
-		rel := e.d.Lookup(at.Rel)
-		if rel == nil || rel.Len() == 0 {
-			return nil // an empty conjunct admits no assignments
-		}
-		joinRefs, buckets := e.buildSide(step, at, rel)
-		next := make([]*hjNode, 0, len(cur))
-		for _, cn := range cur {
-			e.key = e.key[:0]
-			for _, ref := range joinRefs {
-				e.key = appendKeyPart(e.key, cn.value(step-1, ref))
-			}
-			for _, m := range buckets[string(e.key)] {
-				node := &hjNode{parent: cn, vals: m.vals, tag: m.tag}
-				if !e.diseqsHold(diseqStep, step, node) {
-					continue
-				}
-				next = append(next, node)
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		cur = next
-	}
-
-	last := len(e.order) - 1
-	headRefs := make([]varRef, len(q.Head.Args))
-	for i, a := range q.Head.Args {
-		if !a.Const {
-			headRefs[i] = e.varAt[a.Name]
-		}
-	}
-	tags := make([]string, len(e.order))
-	for _, n := range cur {
-		t := make(db.Tuple, len(q.Head.Args))
-		for i, a := range q.Head.Args {
-			if a.Const {
-				t[i] = a.Name
-			} else {
-				t[i] = n.value(last, headRefs[i])
-			}
-		}
-		for i, p := len(tags)-1, n; i >= 0; i, p = i-1, p.parent {
-			tags[i] = p.tag
-		}
-		res.add(t, semiring.FromMonomial(semiring.NewMonomial(tags...), 1))
-	}
-	return nil
-}
-
-// match is one relation row admitted by an atom's constants, projected to
-// the values of the atom's newly introduced variables.
-type match struct {
-	vals []string
-	tag  string
-}
-
-// buildSide scans the relation for rows compatible with the atom's
-// constants and intra-atom repeated variables, and hashes them by the
-// values of the variables shared with the already-bound set. It registers
-// the atom's new variables in e.varAt and returns the references of the
-// shared (join) variables plus the hash buckets.
-func (e *hashEval) buildSide(step int, at query.Atom, rel *db.Relation) ([]varRef, map[string][]match) {
-	// firstCol[i] is the first column of at where the variable of column i
-	// occurs; columns with firstCol[i] != i must repeat that earlier value.
-	firstCol := make([]int, len(at.Args))
-	seen := map[string]int{}
-	var joinRefs, newRefs []varRef
-	var joinCols, newCols []int
-	for i, a := range at.Args {
-		firstCol[i] = i
-		if a.Const {
-			continue
-		}
-		if j, ok := seen[a.Name]; ok {
-			firstCol[i] = j
-			continue
-		}
-		seen[a.Name] = i
-		if ref, bound := e.varAt[a.Name]; bound {
-			joinRefs = append(joinRefs, ref)
-			joinCols = append(joinCols, i)
-		} else {
-			ref := varRef{step: step, idx: len(newRefs)}
-			e.varAt[a.Name] = ref
-			newRefs = append(newRefs, ref)
-			newCols = append(newCols, i)
-		}
-	}
-
-	buckets := map[string][]match{}
-	for _, rowIdx := range candidateRows(rel, at) {
-		row := rel.Rows()[rowIdx]
-		ok := true
-		for i, a := range at.Args {
-			if a.Const {
-				if row.Tuple[i] != a.Name {
-					ok = false
-					break
-				}
-			} else if firstCol[i] != i && row.Tuple[i] != row.Tuple[firstCol[i]] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		e.key = e.key[:0]
-		for _, c := range joinCols {
-			e.key = appendKeyPart(e.key, row.Tuple[c])
-		}
-		m := match{tag: row.Tag}
-		if len(newCols) > 0 {
-			m.vals = make([]string, len(newCols))
-			for i, c := range newCols {
-				m.vals[i] = row.Tuple[c]
-			}
-		}
-		buckets[string(e.key)] = append(buckets[string(e.key)], m)
-	}
-	return joinRefs, buckets
-}
-
-// appendKeyPart appends one join-key component, length-prefixed: values are
-// arbitrary strings (they arrive over HTTP), so a separator byte could make
-// two distinct bindings collide — e.g. ("a\x1f","b") vs ("a","\x1fb") under
-// the naive 0x1f framing — and admit joins the nested-loop evaluator
-// rejects. A length prefix makes the encoding injective.
-func appendKeyPart(key []byte, v string) []byte {
-	key = binary.AppendUvarint(key, uint64(len(v)))
-	return append(key, v...)
-}
-
-// candidateRows narrows the scan by the per-column index on the first
-// constant argument, falling back to a full scan.
-func candidateRows(rel *db.Relation, at query.Atom) []int {
-	for col, a := range at.Args {
-		if a.Const {
-			return rel.RowsWith(col, a.Name)
-		}
-	}
-	all := make([]int, rel.Len())
-	for i := range all {
-		all[i] = i
-	}
-	return all
-}
-
-// planAtomOrder picks the join order for a hash evaluation: the
-// cardinality-statistics planner when the instance carries distinct-count
-// sketches and stats are not ablated away, otherwise the original
-// size-based selectivity order.
-func planAtomOrder(q *query.CQ, d *db.Instance, opts Options) []int {
-	if !opts.NoStats {
-		if order, ok := planOrderCost(q, d); ok {
-			return order
-		}
-	}
-	return planOrder(q, d)
-}
-
-// planOrderCost is the cost-based planner: it greedily grows the join
-// prefix by the atom minimizing the estimated intermediate cardinality
+// planOrder is the hash join's cost-based planner: it greedily grows the
+// join prefix by the atom minimizing the estimated intermediate
+// cardinality
 //
 //	card' = card × rows(atom) / Π over bound join columns max(1, distinct(col))
 //
-// with per-column distinct counts taken from the relations' HyperLogLog
-// sketches. The size-based planner treats a join through a 2-distinct
-// column and one through a key column identically; the division above is
-// exactly what tells them apart. Atoms sharing a bound variable are still
-// preferred over cross products regardless of estimate, and ties keep body
-// order, so plans stay deterministic. Returns ok=false when some touched
-// relation carries no statistics (a standalone relation outside any
-// instance); the caller then falls back to planOrder.
-func planOrderCost(q *query.CQ, d *db.Instance) ([]int, bool) {
-	n := len(q.Atoms)
+// where rows(atom) is the relation size, tightened by the index count of
+// the atom's most selective constant column, and the per-column distinct
+// counts come from the relations' HyperLogLog sketches. Relation sizes
+// alone treat a join through a 2-distinct column and one through a key
+// column identically; the division above is exactly what tells them
+// apart. Atoms sharing a bound variable are still preferred over cross
+// products regardless of estimate, and ties keep body order, so plans stay
+// deterministic. c must not be empty: every atom has a non-empty relation.
+func (c *compiledCQ) planOrder() []int {
+	n := len(c.atoms)
 	base := make([]float64, n)
-	rels := make([]*db.Relation, n)
-	for i, at := range q.Atoms {
-		rel := d.Lookup(at.Rel)
-		rels[i] = rel
-		if rel == nil {
-			continue // base 0: scheduled first, terminates evaluation at once
-		}
-		if !rel.Interned() {
-			return nil, false
-		}
-		e := float64(rel.Len())
-		for col, a := range at.Args {
-			if a.Const {
-				if c := float64(len(rel.RowsWith(col, a.Name))); c < e {
-					e = c
-				}
+	for i, at := range c.atoms {
+		rows := at.rel.Len()
+		for col, a := range at.args {
+			if a.isConst {
+				rows = min(rows, len(at.rel.RowsWithID(col, a.val)))
 			}
 		}
-		base[i] = e
+		base[i] = float64(rows)
 	}
 	order := make([]int, 0, n)
 	used := make([]bool, n)
-	bound := map[string]bool{}
+	bound := make([]bool, len(c.vars))
 	card := 1.0
 	for len(order) < n {
 		best, bestShares := -1, false
 		bestCard := 0.0
-		for i := 0; i < n; i++ {
+		for i, at := range c.atoms {
 			if used[i] {
 				continue
 			}
 			sel := 1.0
 			shares := false
-			if rels[i] != nil {
-				for col, a := range q.Atoms[i].Args {
-					if a.Const || !bound[a.Name] {
-						continue
-					}
-					shares = true
-					if dist, ok := rels[i].DistinctEstimate(col); ok && dist > 1 {
-						sel /= dist
-					}
+			for col, a := range at.args {
+				if a.isConst || !bound[a.v] {
+					continue
+				}
+				shares = true
+				if dist, ok := at.rel.DistinctEstimate(col); ok && dist > 1 {
+					sel /= dist
 				}
 			}
 			cand := card * base[i] * sel
@@ -315,117 +61,11 @@ func planOrderCost(q *query.CQ, d *db.Instance) ([]int, bool) {
 		if card = bestCard; card < 1 {
 			card = 1
 		}
-		for _, a := range q.Atoms[best].Args {
-			if !a.Const {
-				bound[a.Name] = true
-			}
-		}
-	}
-	return order, true
-}
-
-// planOrder is the selectivity planner: every atom's cardinality is
-// estimated from its relation size, tightened by the index count of its
-// most selective constant column; the order then greedily extends the
-// joined prefix, always preferring atoms that share a bound variable (so
-// cross products happen only when the query itself is disconnected) and,
-// among those, the smallest estimate.
-func planOrder(q *query.CQ, d *db.Instance) []int {
-	n := len(q.Atoms)
-	est := make([]int, n)
-	for i, at := range q.Atoms {
-		rel := d.Lookup(at.Rel)
-		if rel == nil {
-			continue // est 0: schedule first, terminates evaluation at once
-		}
-		e := rel.Len()
-		for col, a := range at.Args {
-			if a.Const {
-				if c := len(rel.RowsWith(col, a.Name)); c < e {
-					e = c
-				}
-			}
-		}
-		est[i] = e
-	}
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	boundVars := map[string]bool{}
-	for len(order) < n {
-		best, bestShares := -1, false
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			shares := false
-			for _, a := range q.Atoms[i].Args {
-				if !a.Const && boundVars[a.Name] {
-					shares = true
-					break
-				}
-			}
-			switch {
-			case best == -1,
-				shares && !bestShares,
-				shares == bestShares && est[i] < est[best]:
-				best, bestShares = i, shares
-			}
-		}
-		order = append(order, best)
-		used[best] = true
-		for _, a := range q.Atoms[best].Args {
-			if !a.Const {
-				boundVars[a.Name] = true
+		for _, a := range c.atoms[best].args {
+			if !a.isConst {
+				bound[a.v] = true
 			}
 		}
 	}
 	return order
-}
-
-// scheduleDiseqs maps each disequality to the earliest plan step after
-// which both of its sides are decided, so the pipeline filters as soon as
-// possible. Constant-constant pairs were decided statically and get -1.
-func (e *hashEval) scheduleDiseqs() []int {
-	boundAt := map[string]int{}
-	for step, atomIdx := range e.order {
-		for _, a := range e.q.Atoms[atomIdx].Args {
-			if !a.Const {
-				if _, ok := boundAt[a.Name]; !ok {
-					boundAt[a.Name] = step
-				}
-			}
-		}
-	}
-	stepOf := make([]int, len(e.q.Diseqs))
-	for i, dq := range e.q.Diseqs {
-		step := -1
-		for _, side := range []query.Arg{dq.Left, dq.Right} {
-			if !side.Const && boundAt[side.Name] > step {
-				step = boundAt[side.Name]
-			}
-		}
-		stepOf[i] = step
-	}
-	return stepOf
-}
-
-// diseqsHold checks the disequalities scheduled at this step against a
-// freshly extended assignment.
-func (e *hashEval) diseqsHold(diseqStep []int, step int, n *hjNode) bool {
-	for i, dq := range e.q.Diseqs {
-		if diseqStep[i] != step {
-			continue
-		}
-		l, r := dq.Left.Name, dq.Right.Name
-		if !dq.Left.Const {
-			l = n.value(step, e.varAt[dq.Left.Name])
-		}
-		if !dq.Right.Const {
-			r = n.value(step, e.varAt[dq.Right.Name])
-		}
-		if l == r {
-			return false
-		}
-	}
-	return true
 }

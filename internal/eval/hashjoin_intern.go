@@ -5,66 +5,71 @@ import (
 	"sync"
 
 	"provmin/internal/db"
-	"provmin/internal/query"
 	"provmin/internal/semiring"
 )
 
-// This file is the interned hash join: the set-at-a-time evaluator of
-// hashjoin.go rebuilt on symbol ids. Join keys become fixed-width uint64
-// composites (one or two packed uint32 ids cover almost every real join;
-// wider keys pack ids into a byte string) instead of length-prefixed
-// strings, build-side admission checks are integer compares, and — because
-// partial assignments are immutable parent-linked nodes and N[X]
-// polynomials are canonical — both the probe of a large step and the final
-// emission can be split across workers without changing the result by a
-// byte. The string evaluator stays behind Options.NoIntern as the ablation
-// baseline.
+// This file is the hash join: instead of enumerating assignments tuple by
+// tuple (the enumerator in intern.go), it joins a whole conjunct
+// set-at-a-time with hash joins on shared variables, in the order the cost
+// planner (hashjoin.go) picks. Join keys are fixed-width uint64 composites
+// of symbol ids (one or two packed uint32 ids cover almost every real
+// join; wider keys pack ids into a byte string), build-side admission
+// checks are integer compares, and — because partial assignments are
+// immutable parent-linked nodes and N[X] polynomials are canonical — both
+// the probe of a large step and the final emission can be split across
+// workers without changing the result by a byte.
 
 // parallelProbeThreshold is the default minimum number of partial
 // assignments a join step must carry before its probe fans out. Below it
 // the goroutine hand-off costs more than the probe itself.
 const parallelProbeThreshold = 1024
 
-// ihjNode is one partial assignment: ids of the variables its step newly
+// varRef locates a variable's value inside the join trie: bound at plan
+// step, at position idx of that step's newly-bound values.
+type varRef struct {
+	step, idx int
+}
+
+// hjNode is one partial assignment: ids of the variables its step newly
 // bound, the row tag joined in, and the assignment it extends. Immutable
 // after construction, so nodes are shared freely across worker goroutines.
-type ihjNode struct {
-	parent *ihjNode
+type hjNode struct {
+	parent *hjNode
 	vals   []uint32
 	tag    string
 }
 
 // value resolves a variable reference from the node for plan step `step`.
-func (n *ihjNode) value(step int, ref varRef) uint32 {
+func (n *hjNode) value(step int, ref varRef) uint32 {
 	for ; step > ref.step; step-- {
 		n = n.parent
 	}
 	return n.vals[ref.idx]
 }
 
-// imatch is one build-side row admitted by an atom's constants, projected
+// match is one build-side row admitted by an atom's constants, projected
 // to the ids of the atom's newly introduced variables.
-type imatch struct {
+type match struct {
 	vals []uint32
 	tag  string
 }
 
-// ibuckets hashes build-side rows by their join-column ids. Up to two join
+// buckets hashes build-side rows by their join-column ids. Up to two join
 // columns — the overwhelmingly common case — the key is the two ids packed
 // into one uint64 (injective, no allocation); wider keys pack all ids into
 // a byte string.
-type ibuckets struct {
+type buckets struct {
 	wide  bool
-	small map[uint64][]imatch
-	big   map[string][]imatch
+	small map[uint64][]match
+	big   map[string][]match
 }
 
-func newIBuckets(njoin int) *ibuckets {
-	b := &ibuckets{wide: njoin > 2}
+func newBuckets(njoin int) *buckets {
+	b := &buckets{wide: njoin > 2}
 	if b.wide {
-		b.big = map[string][]imatch{}
+		b.big = map[string][]match{}
 	} else {
-		b.small = map[uint64][]imatch{}
+		b.small = map[uint64][]match{}
 	}
 	return b
 }
@@ -84,7 +89,7 @@ func packWide(key []byte, ids []uint32) []byte {
 	return key
 }
 
-func (b *ibuckets) put(ids []uint32, m imatch) {
+func (b *buckets) put(ids []uint32, m match) {
 	if b.wide {
 		k := string(packWide(nil, ids))
 		b.big[k] = append(b.big[k], m)
@@ -94,7 +99,7 @@ func (b *ibuckets) put(ids []uint32, m imatch) {
 	}
 }
 
-type ihashEval struct {
+type hashEval struct {
 	c     *compiledCQ
 	opts  Options
 	order []int
@@ -102,38 +107,26 @@ type ihashEval struct {
 	bound []bool   // per dense var index: registered in varAt yet?
 }
 
-// hashEvalCQInterned evaluates one conjunctive query set-at-a-time on
-// symbol ids and accumulates every satisfying assignment's head tuple and
-// monomial into res. Byte-identical to hashEvalCQ by construction.
-func hashEvalCQInterned(res *Result, q *query.CQ, d *db.Instance, opts Options) error {
-	c, err := compileCQ(q, d)
-	if err != nil {
-		return err
-	}
-	if c.unsat {
-		return nil
-	}
-	if len(c.atoms) == 0 {
-		res.add(c.headTuple(nil), semiring.FromMonomial(semiring.One, 1))
-		return nil
-	}
+// hashJoin evaluates the conjunct set-at-a-time and accumulates every
+// satisfying assignment's head tuple and monomial into res.
+func (c *compiledCQ) hashJoin(res *Result, opts Options) {
 	if c.empty {
-		return nil
+		return
 	}
-	e := &ihashEval{
+	e := &hashEval{
 		c:     c,
 		opts:  opts,
-		order: planAtomOrder(q, d, opts),
-		varAt: make([]varRef, c.nvars),
-		bound: make([]bool, c.nvars),
+		order: c.planOrder(),
+		varAt: make([]varRef, len(c.vars)),
+		bound: make([]bool, len(c.vars)),
 	}
-	return e.run(res)
+	e.run(res)
 }
 
 // workers returns how many goroutines may share a probe or emit of n
 // items, per the configured parallelism and threshold; 1 means stay
 // sequential.
-func (e *ihashEval) workers(n int) int {
+func (e *hashEval) workers(n int) int {
 	thr := e.opts.ParallelThreshold
 	if thr <= 0 {
 		thr = parallelProbeThreshold
@@ -151,18 +144,17 @@ func (e *ihashEval) workers(n int) int {
 	return par
 }
 
-func (e *ihashEval) run(res *Result) error {
+func (e *hashEval) run(res *Result) {
 	diseqStep := e.scheduleDiseqs()
-	cur := []*ihjNode{{}}
+	cur := []*hjNode{{}}
 	for step, atomIdx := range e.order {
 		joinRefs, bk := e.buildSide(step, e.c.atoms[atomIdx])
 		cur = e.probe(step, cur, joinRefs, bk, diseqStep)
 		if len(cur) == 0 {
-			return nil
+			return
 		}
 	}
 	e.emit(res, cur)
-	return nil
 }
 
 // buildSide scans the atom's relation for rows compatible with its
@@ -170,7 +162,7 @@ func (e *ihashEval) run(res *Result) error {
 // the ids of the columns whose variables are already bound. It registers
 // the atom's new variables in e.varAt and returns the join-variable
 // references plus the buckets.
-func (e *ihashEval) buildSide(step int, at iAtom) ([]varRef, *ibuckets) {
+func (e *hashEval) buildSide(step int, at iAtom) ([]varRef, *buckets) {
 	firstCol := make([]int, len(at.args))
 	seenAt := make(map[int]int, len(at.args)) // var index -> first column
 	var joinRefs []varRef
@@ -197,7 +189,7 @@ func (e *ihashEval) buildSide(step int, at iAtom) ([]varRef, *ibuckets) {
 		}
 	}
 
-	bk := newIBuckets(len(joinCols))
+	bk := newBuckets(len(joinCols))
 	keyIDs := make([]uint32, len(joinCols))
 	rows := e.candidateRows(at)
 	// One flat id arena for every admitted row's projection instead of one
@@ -227,7 +219,7 @@ func (e *ihashEval) buildSide(step int, at iAtom) ([]varRef, *ibuckets) {
 		for i, c := range joinCols {
 			keyIDs[i] = row[c]
 		}
-		m := imatch{tag: at.rel.Rows()[rowIdx].Tag}
+		m := match{tag: at.rel.Rows()[rowIdx].Tag}
 		if len(newCols) > 0 {
 			start := len(flat)
 			for _, c := range newCols {
@@ -242,7 +234,7 @@ func (e *ihashEval) buildSide(step int, at iAtom) ([]varRef, *ibuckets) {
 
 // candidateRows narrows the build scan by the per-column id index on the
 // first constant argument, falling back to a full scan.
-func (e *ihashEval) candidateRows(at iAtom) []int {
+func (e *hashEval) candidateRows(at iAtom) []int {
 	for col, a := range at.args {
 		if a.isConst {
 			return at.rel.RowsWithID(col, a.val)
@@ -259,12 +251,12 @@ func (e *ihashEval) candidateRows(at iAtom) []int {
 // fanning the work across workers when the step is large enough. Chunks
 // are contiguous and concatenated in order, so the resulting slice is
 // exactly what a sequential probe would have produced.
-func (e *ihashEval) probe(step int, cur []*ihjNode, joinRefs []varRef, bk *ibuckets, diseqStep []int) []*ihjNode {
+func (e *hashEval) probe(step int, cur []*hjNode, joinRefs []varRef, bk *buckets, diseqStep []int) []*hjNode {
 	nw := e.workers(len(cur))
 	if nw == 1 {
 		return e.probeChunk(step, cur, joinRefs, bk, diseqStep)
 	}
-	parts := make([][]*ihjNode, nw)
+	parts := make([][]*hjNode, nw)
 	var wg sync.WaitGroup
 	chunk := (len(cur) + nw - 1) / nw
 	for w := 0; w < nw; w++ {
@@ -290,20 +282,20 @@ func (e *ihashEval) probe(step int, cur []*ihjNode, joinRefs []varRef, bk *ibuck
 	return next
 }
 
-func (e *ihashEval) probeChunk(step int, cur []*ihjNode, joinRefs []varRef, bk *ibuckets, diseqStep []int) []*ihjNode {
-	next := make([]*ihjNode, 0, len(cur))
+func (e *hashEval) probeChunk(step int, cur []*hjNode, joinRefs []varRef, bk *buckets, diseqStep []int) []*hjNode {
+	next := make([]*hjNode, 0, len(cur))
 	keyIDs := make([]uint32, len(joinRefs))
 	var wideKey []byte
 	// Nodes come from block-allocated arenas — one malloc per 512 nodes
 	// instead of per node. Pointers into a full block stay valid when the
 	// next block is started, and each chunk has its own arena, so worker
 	// goroutines never share one.
-	var arena []ihjNode
+	var arena []hjNode
 	for _, cn := range cur {
 		for i, ref := range joinRefs {
 			keyIDs[i] = cn.value(step-1, ref)
 		}
-		var ms []imatch
+		var ms []match
 		if bk.wide {
 			wideKey = packWide(wideKey[:0], keyIDs)
 			ms = bk.big[string(wideKey)]
@@ -312,9 +304,9 @@ func (e *ihashEval) probeChunk(step int, cur []*ihjNode, joinRefs []varRef, bk *
 		}
 		for _, m := range ms {
 			if len(arena) == cap(arena) {
-				arena = make([]ihjNode, 0, 512)
+				arena = make([]hjNode, 0, 512)
 			}
-			arena = append(arena, ihjNode{parent: cn, vals: m.vals, tag: m.tag})
+			arena = append(arena, hjNode{parent: cn, vals: m.vals, tag: m.tag})
 			node := &arena[len(arena)-1]
 			if !e.diseqsHold(diseqStep, step, node) {
 				arena = arena[:len(arena)-1] // slot reused by the next match
@@ -331,7 +323,7 @@ func (e *ihashEval) probeChunk(step int, cur []*ihjNode, joinRefs []varRef, bk *
 // partials are merged in chunk order and polynomial addition is
 // commutative with a canonical representation, so the merged result is
 // byte-identical to a sequential emit.
-func (e *ihashEval) emit(res *Result, cur []*ihjNode) {
+func (e *hashEval) emit(res *Result, cur []*hjNode) {
 	nw := e.workers(len(cur))
 	if nw == 1 {
 		e.emitChunk(res, cur)
@@ -364,7 +356,7 @@ func (e *ihashEval) emit(res *Result, cur []*ihjNode) {
 	}
 }
 
-func (e *ihashEval) emitChunk(res *Result, cur []*ihjNode) {
+func (e *hashEval) emitChunk(res *Result, cur []*hjNode) {
 	c := e.c
 	last := len(e.order) - 1
 	headRefs := make([]varRef, len(c.head))
@@ -393,8 +385,8 @@ func (e *ihashEval) emitChunk(res *Result, cur []*ihjNode) {
 // scheduleDiseqs maps each compiled disequality to the earliest plan step
 // after which both sides are decided (const-const pairs were decided at
 // compile time and never reach here).
-func (e *ihashEval) scheduleDiseqs() []int {
-	boundAt := make([]int, e.c.nvars)
+func (e *hashEval) scheduleDiseqs() []int {
+	boundAt := make([]int, len(e.c.vars))
 	for i := range boundAt {
 		boundAt[i] = -1
 	}
@@ -421,7 +413,7 @@ func (e *ihashEval) scheduleDiseqs() []int {
 // diseqsHold checks the disequalities scheduled at this step against a
 // freshly extended assignment. An uninterned constant side (invalidID)
 // never equals a bound variable's id, so the integer compare is exact.
-func (e *ihashEval) diseqsHold(diseqStep []int, step int, n *ihjNode) bool {
+func (e *hashEval) diseqsHold(diseqStep []int, step int, n *hjNode) bool {
 	for i, dq := range e.c.diseqs {
 		if diseqStep[i] != step {
 			continue

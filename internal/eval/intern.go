@@ -6,15 +6,16 @@ import (
 	"provmin/internal/semiring"
 )
 
-// This file is the interned face of the evaluator: queries are compiled
-// against the instance's symbol table so that every domain value is a dense
-// uint32 id, bindings are flat []uint32 slices indexed by a per-query
-// variable number, and equality checks are single integer compares instead
-// of string compares. Both the interned enumerator below and the interned
-// hash join (hashjoin_intern.go) start from this compiled form. Results are
-// resolved back to strings only at emission, so outputs are byte-identical
-// to the string-keyed evaluator's — the differential suite in
-// intern_test.go pins that equivalence.
+// This file is the core every evaluation path starts from: a query is
+// compiled against the instance's symbol table so that every domain value
+// is a dense uint32 id, bindings are flat []uint32 slices indexed by a
+// per-query variable number, and equality checks are single integer
+// compares. The backtracking enumerator below runs small conjuncts, the
+// delta maintainer's row windows and every per-assignment API
+// (ForEachAssignment, Derivations, EvalDirect); the hash join
+// (hashjoin_intern.go) runs larger conjuncts. Results are resolved back to
+// strings only at emission; the naive evaluator in oracle_test.go checks
+// both against Def. 2.12.
 
 // iArg is one compiled atom (or disequality/head) argument.
 type iArg struct {
@@ -35,33 +36,15 @@ type iAtom struct {
 // compiledCQ is a conjunctive query bound to one instance's symbol table.
 type compiledCQ struct {
 	q      *query.CQ
-	d      *db.Instance
 	syms   *db.SymbolTable
 	atoms  []iAtom
 	diseqs [][2]iArg // var/const sides; statically-true pairs dropped
 	head   []iArg
-	nvars  int
-	// unsat: a constant-constant disequality with equal sides makes every
-	// assignment invalid (the same static check the string paths apply).
-	unsat bool
-	// empty: some atom can match no row (absent/empty relation, or a
-	// constant the instance has never stored), so there are no assignments.
+	vars   []string // variable names by dense index
+	// empty: no assignment exists — some atom can match no row (absent or
+	// empty relation, or a constant the instance has never stored), or a
+	// constant-constant disequality has equal sides.
 	empty bool
-}
-
-// internedAvailable reports whether every relation the query touches
-// carries an interned image — true for every relation created through an
-// Instance, false only for standalone db.NewRelation use, which cannot
-// occur inside an instance. Checked per-relation anyway so the evaluator
-// degrades to string keys instead of panicking if that invariant ever
-// changes.
-func internedAvailable(q *query.CQ, d *db.Instance) bool {
-	for _, at := range q.Atoms {
-		if rel := d.Lookup(at.Rel); rel != nil && !rel.Interned() {
-			return false
-		}
-	}
-	return true
 }
 
 // compileCQ validates q and lowers it onto d's symbol table. Variable
@@ -70,7 +53,7 @@ func compileCQ(q *query.CQ, d *db.Instance) (*compiledCQ, error) {
 	if err := validateCQ(q, d); err != nil {
 		return nil, err
 	}
-	c := &compiledCQ{q: q, d: d, syms: d.Symbols()}
+	c := &compiledCQ{q: q, syms: d.Symbols()}
 	varIdx := map[string]int{}
 	arg := func(a query.Arg) iArg {
 		if a.Const {
@@ -79,9 +62,9 @@ func compileCQ(q *query.CQ, d *db.Instance) (*compiledCQ, error) {
 		}
 		i, ok := varIdx[a.Name]
 		if !ok {
-			i = c.nvars
+			i = len(c.vars)
 			varIdx[a.Name] = i
-			c.nvars++
+			c.vars = append(c.vars, a.Name)
 		}
 		return iArg{v: i}
 	}
@@ -101,7 +84,7 @@ func compileCQ(q *query.CQ, d *db.Instance) (*compiledCQ, error) {
 	for _, dq := range q.Diseqs {
 		if dq.Left.Const && dq.Right.Const {
 			if dq.Left.Name == dq.Right.Name {
-				c.unsat = true
+				c.empty = true
 			}
 			continue // unequal constants always hold: drop
 		}
@@ -156,19 +139,89 @@ func (c *compiledCQ) headTuple(binding []uint32) db.Tuple {
 
 // monomial computes the annotation product of the rows an assignment uses.
 func (c *compiledCQ) monomial(rows []int) semiring.Monomial {
-	tags := make([]string, 0, len(c.atoms))
+	tags := make([]string, len(c.atoms))
 	for i, at := range c.atoms {
-		tags = append(tags, at.rel.Rows()[rows[i]].Tag)
+		tags[i] = at.rel.Rows()[rows[i]].Tag
 	}
-	return semiring.NewMonomial(tags...)
+	return semiring.MonomialFromVars(tags)
 }
 
-// iEnum is the interned twin of the string enumerator in eval.go: the same
-// backtracking search over the same atom order with the same index-probe
-// candidate selection, operating on symbol ids. It exists so the hot
-// tuple-at-a-time paths — small conjuncts and, above all, the delta
-// maintainer's windowed enumeration — run on integer compares too.
-type iEnum struct {
+// assignment copies an enumerated assignment out into the exported form.
+func (c *compiledCQ) assignment(rows []int, binding []uint32) Assignment {
+	a := Assignment{Rows: append([]int(nil), rows...), Binding: make(map[string]string, len(c.vars))}
+	for i, name := range c.vars {
+		a.Binding[name] = c.syms.Value(binding[i])
+	}
+	return a
+}
+
+// greedyOrder is the enumerator's atom order, most-constrained-first: each
+// step takes the atom with the most arguments already decided (constants
+// or bound variables), ties in body order. first >= 0 forces that atom to
+// the front — the delta maintainer starts from its inserted-row window.
+func (c *compiledCQ) greedyOrder(first int) []int {
+	n := len(c.atoms)
+	order := make([]int, 0, n)
+	used := make([]bool, n)
+	bound := make([]bool, len(c.vars))
+	take := func(i int) {
+		order = append(order, i)
+		used[i] = true
+		for _, a := range c.atoms[i].args {
+			if !a.isConst {
+				bound[a.v] = true
+			}
+		}
+	}
+	if first >= 0 {
+		take(first)
+	}
+	for len(order) < n {
+		best, bestScore := -1, -1
+		for i, at := range c.atoms {
+			if used[i] {
+				continue
+			}
+			score := 0
+			for _, a := range at.args {
+				if a.isConst || bound[a.v] {
+					score++
+				}
+			}
+			if score > bestScore {
+				best, bestScore = i, score
+			}
+		}
+		take(best)
+	}
+	return order
+}
+
+// rowRange is a half-open row window [lo, hi); hi < 0 means the relation's
+// full current length.
+type rowRange struct{ lo, hi int }
+
+// forEach calls fn for every satisfying assignment, found by backtracking
+// over the atoms in greedyOrder(first), each restricted to its row window
+// when ranges is non-nil. The rows and binding passed to fn are reused
+// afterwards.
+func (c *compiledCQ) forEach(first int, ranges []rowRange, fn func(rows []int, binding []uint32) error) error {
+	if c.empty {
+		return nil
+	}
+	e := &enumerator{
+		c:       c,
+		order:   c.greedyOrder(first),
+		ranges:  ranges,
+		binding: make([]uint32, len(c.vars)),
+		rows:    make([]int, len(c.atoms)),
+		fn:      fn,
+	}
+	return e.extend(0)
+}
+
+// enumerator is the backtracking search behind forEach.
+type enumerator struct {
 	c       *compiledCQ
 	order   []int
 	ranges  []rowRange // per atom index; nil = unrestricted
@@ -177,7 +230,7 @@ type iEnum struct {
 	fn      func(rows []int, binding []uint32) error
 }
 
-func (e *iEnum) extend(step int) error {
+func (e *enumerator) extend(step int) error {
 	c := e.c
 	if step == len(e.order) {
 		for _, dq := range c.diseqs {
@@ -205,9 +258,10 @@ func (e *iEnum) extend(step int) error {
 	return nil
 }
 
-// candidates mirrors enumerator.candidates: probe the per-column id index
-// on the first decided argument, restricted to the atom's row window.
-func (e *iEnum) candidates(atomIdx int, at iAtom) []int {
+// candidates probes the per-column id index on the first decided
+// argument, restricted to the atom's row window; without one it scans the
+// window.
+func (e *enumerator) candidates(atomIdx int, at iAtom) []int {
 	rel := at.rel
 	lo, hi := 0, rel.Len()
 	if e.ranges != nil {
@@ -245,7 +299,7 @@ func (e *iEnum) candidates(atomIdx int, at iAtom) []int {
 
 // tryBind unifies the atom's arguments with the row ids, extending the
 // binding; newly holds the var indices bound here, for rollback.
-func (e *iEnum) tryBind(at iAtom, row []uint32) (newly []int, ok bool) {
+func (e *enumerator) tryBind(at iAtom, row []uint32) (newly []int, ok bool) {
 	for i, a := range at.args {
 		if a.isConst {
 			if a.val != row[i] {
@@ -267,57 +321,18 @@ func (e *iEnum) tryBind(at iAtom, row []uint32) (newly []int, ok bool) {
 	return newly, true
 }
 
-func (e *iEnum) rollback(newly []int) {
+func (e *enumerator) rollback(newly []int) {
 	for _, v := range newly {
 		e.binding[v] = invalidID
 	}
 }
 
 // diseqsConsistent prunes on disequalities whose sides are both decided.
-func (e *iEnum) diseqsConsistent() bool {
+func (e *enumerator) diseqsConsistent() bool {
 	for _, dq := range e.c.diseqs {
 		if holds, decided := e.c.diseqHolds(dq, e.binding); decided && !holds {
 			return false
 		}
 	}
 	return true
-}
-
-// internedEnumEval accumulates every satisfying assignment of q into res
-// with the interned enumerator, optionally restricted to per-atom row
-// windows (the delta maintainer's partition). order is the atom order to
-// search in (the same order functions both enumerators share); a nil order
-// selects the greedy default.
-func internedEnumEval(res *Result, q *query.CQ, d *db.Instance, order []int, ranges []rowRange) error {
-	c, err := compileCQ(q, d)
-	if err != nil {
-		return err
-	}
-	if c.unsat {
-		return nil
-	}
-	if len(c.atoms) == 0 {
-		// Exactly the empty assignment, annotated with the unit 1 — same
-		// as both string paths.
-		res.add(c.headTuple(nil), semiring.FromMonomial(semiring.One, 1))
-		return nil
-	}
-	if c.empty {
-		return nil
-	}
-	if order == nil {
-		order = atomOrder(q, OrderGreedy)
-	}
-	e := &iEnum{
-		c:       c,
-		order:   order,
-		ranges:  ranges,
-		binding: make([]uint32, c.nvars),
-		rows:    make([]int, len(c.atoms)),
-		fn: func(rows []int, binding []uint32) error {
-			res.add(c.headTuple(binding), semiring.FromMonomial(c.monomial(rows), 1))
-			return nil
-		},
-	}
-	return e.extend(0)
 }

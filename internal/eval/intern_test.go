@@ -9,45 +9,9 @@ import (
 	"provmin/internal/workload"
 )
 
-// evalAllModes evaluates u under every evaluator configuration — interned
-// hash join (with and without statistics, sequential and forced-parallel),
-// string-keyed hash join, interned enumerator and string nested loop — and
-// fails unless all rendered results are byte-identical. This is the
-// equivalence contract the engine's result cache and the ablation
-// benchmarks depend on.
-func evalAllModes(t *testing.T, u *query.UCQ, d *db.Instance) string {
-	t.Helper()
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"interned-hash", Options{Join: JoinHash}},
-		{"interned-hash-nostats", Options{Join: JoinHash, NoStats: true}},
-		{"interned-hash-parallel", Options{Join: JoinHash, Parallelism: 4, ParallelThreshold: 1}},
-		{"string-hash", Options{Join: JoinHash, NoIntern: true}},
-		{"nested-loop", Options{Join: JoinNestedLoop}},
-		{"nested-loop-noindex", Options{Join: JoinNestedLoop, NoIndex: true}},
-	}
-	var want string
-	for i, m := range modes {
-		res, err := EvalUCQOpts(u, d, m.opts)
-		if err != nil {
-			t.Fatalf("%s eval of %s: %v", m.name, u, err)
-		}
-		if i == 0 {
-			want = res.String()
-			continue
-		}
-		if got := res.String(); got != want {
-			t.Errorf("%s diverges from %s on %s:\n%s\nvs\n%s",
-				m.name, modes[0].name, u, got, want)
-		}
-	}
-	return want
-}
-
-func TestInternedMatchesStringFixed(t *testing.T) {
-	forceHashJoin(t)
+// internedFixture and internedCases are the fixed differential cases of
+// TestInternedMatchesStringFixed; FuzzEvalDifferential seeds from them.
+func internedFixture() *db.Instance {
 	d := db.NewInstance()
 	d.MustAdd("R", "r1", "a", "a")
 	d.MustAdd("R", "r2", "a", "b")
@@ -58,47 +22,47 @@ func TestInternedMatchesStringFixed(t *testing.T) {
 	d.MustAdd("S", "s2", "c")
 	d.MustAdd("S", "s3", "")
 	d.MustAdd("T", "t1", "x", "y", "z")
+	return d
+}
 
-	cases := []string{
-		"ans(x) :- R(x,y), R(y,x)",
-		"ans(x) :- R(x,x)",
-		"ans(x,y) :- R(x,z), R(z,y)",
-		"ans(x) :- R(x,y), S(y)",
-		"ans(x) :- R(x,'a')",
-		"ans(x) :- R('a',x), R(x,'a')",
-		"ans(x) :- R(x,'zzz')",            // constant the instance never stored
-		"ans(x) :- R(x,y), x != 'zzz'",    // diseq against an unstored constant
-		"ans(x) :- R(x,y), S(x), y != ''", // diseq against the empty string
-		"ans(x) :- R('',x)",               // empty-string constant
-		"ans(x,y) :- R(x,y), x != y",
-		"ans(x,u) :- R(x,y), S(u)", // cross product
-		"ans() :- R(x,y), R(y,z), R(z,x)",
-		"ans(x) :- R(x,y), R(y,z), R(z,w), w != x",
-		"ans(x) :- R(x,y); ans(x) :- R(y,x)",
-		"ans(x) :- R(x,y), S(y); ans(x) :- R(x,x)",
-		"ans(x) :- Missing(x)",
-		"ans(x) :- R(x,y), Missing(y)",
-		"ans(x,y,z) :- T(x,y,z)",
-		"ans('k') :- R(x,x)", // constant head
-		"ans(x) :- R(x,y), R(x,z), y != z",
-		"ans(x) :- R(x,y), R(y,z), R(x,z)",
-		"ans(x) :- R(x,y), S(x), S(y)",
-		"ans(x,y) :- R(x,y), x != y, y != 'c', x != 'b'",
-		"ans(x,y,z,w) :- R(x,y), R(y,z), R(z,w)", // 3 join vars: wide key path
-	}
-	for _, qt := range cases {
-		u, err := query.ParseUnion(qt)
-		if err != nil {
-			t.Fatalf("%s: %v", qt, err)
-		}
-		evalAllModes(t, u, d)
+var internedCases = []string{
+	"ans(x) :- R(x,y), R(y,x)",
+	"ans(x) :- R(x,x)",
+	"ans(x,y) :- R(x,z), R(z,y)",
+	"ans(x) :- R(x,y), S(y)",
+	"ans(x) :- R(x,'a')",
+	"ans(x) :- R('a',x), R(x,'a')",
+	"ans(x) :- R(x,'zzz')",            // constant the instance never stored
+	"ans(x) :- R(x,y), x != 'zzz'",    // diseq against an unstored constant
+	"ans(x) :- R(x,y), S(x), y != ''", // diseq against the empty string
+	"ans(x) :- R('',x)",               // empty-string constant
+	"ans(x,y) :- R(x,y), x != y",
+	"ans(x,u) :- R(x,y), S(u)", // cross product
+	"ans() :- R(x,y), R(y,z), R(z,x)",
+	"ans(x) :- R(x,y), R(y,z), R(z,w), w != x",
+	"ans(x) :- R(x,y); ans(x) :- R(y,x)",
+	"ans(x) :- R(x,y), S(y); ans(x) :- R(x,x)",
+	"ans(x) :- Missing(x)",
+	"ans(x) :- R(x,y), Missing(y)",
+	"ans(x,y,z) :- T(x,y,z)",
+	"ans('k') :- R(x,x)", // constant head
+	"ans(x) :- R(x,y), R(x,z), y != z",
+	"ans(x) :- R(x,y), R(y,z), R(x,z)",
+	"ans(x) :- R(x,y), S(x), S(y)",
+	"ans(x,y) :- R(x,y), x != y, y != 'c', x != 'b'",
+	"ans(x,y,z,w) :- R(x,y), R(y,z), R(z,w)", // 3 join vars: wide key path
+}
+
+func TestInternedMatchesStringFixed(t *testing.T) {
+	d := internedFixture()
+	for _, qt := range internedCases {
+		evalAllModes(t, query.MustParseUnion(qt), d)
 	}
 }
 
 // TestInternedMatchesStringRandom sweeps random unions over random
 // instances through every evaluator mode.
 func TestInternedMatchesStringRandom(t *testing.T) {
-	forceHashJoin(t)
 	params := workload.DefaultParams()
 	params.NumAtoms = 4
 	params.NumVars = 5
@@ -114,9 +78,8 @@ func TestInternedMatchesStringRandom(t *testing.T) {
 	}
 }
 
-// TestDeltaInternedMatchesString: the delta maintainer must produce the
-// same delta on interned and string keys, and old + delta must equal a
-// fresh evaluation — per mode — or promoted cache entries drift.
+// TestDeltaInternedMatchesString: old + delta must equal a fresh
+// evaluation by the oracle, or promoted cache entries drift.
 func TestDeltaInternedMatchesString(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		d := db.NewInstance()
@@ -140,33 +103,16 @@ func TestDeltaInternedMatchesString(t *testing.T) {
 		d.MustAdd("R", "nloop", "n1", "n1")
 		d.MustAdd("S", "sx", "n1")
 
-		interned, err := EvalUCQDeltaOpts(u, d, oldLen, Options{})
+		delta, err := EvalUCQDelta(u, d, oldLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		str, err := EvalUCQDeltaOpts(u, d, oldLen, Options{NoIntern: true})
+		fresh, err := naiveEval(u, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if interned.String() != str.String() {
-			t.Fatalf("seed %d: interned delta diverges from string delta:\n%s\nvs\n%s",
-				seed, interned, str)
-		}
-		sum := newResult()
-		for _, ot := range old.Tuples() {
-			sum.add(ot.Tuple, ot.Prov)
-		}
-		for _, ot := range interned.Tuples() {
-			sum.add(ot.Tuple, ot.Prov)
-		}
-		sum.finish()
-		fresh, err := EvalUCQ(u, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fresh.SameAnnotated(sum) {
-			t.Fatalf("seed %d: old + interned delta != fresh eval:\n%s\nvs\n%s",
-				seed, sum, fresh)
+		if got := mergeResults(old, delta); got.String() != fresh.String() {
+			t.Fatalf("seed %d: old + delta != fresh eval:\n%s\nvs\n%s", seed, got, fresh)
 		}
 	}
 }
@@ -186,13 +132,12 @@ func TestParallelJoinStress(t *testing.T) {
 		db.NewGenerator(seed).RandomGraph(d, "R", 40, 400)
 		for _, qt := range queries {
 			u := query.MustParseUnion(qt)
-			seq, err := EvalUCQOpts(u, d, Options{Join: JoinHash, Parallelism: 1})
+			seq, err := EvalUCQOpts(u, d, Options{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, par := range []int{2, 8} {
-				got, err := EvalUCQOpts(u, d, Options{
-					Join: JoinHash, Parallelism: par, ParallelThreshold: 1})
+				got, err := EvalUCQOpts(u, d, Options{Parallelism: par, ParallelThreshold: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,11 +149,10 @@ func TestParallelJoinStress(t *testing.T) {
 	}
 }
 
-// TestPlanOrderCostUsesDistincts: two join candidates of identical size —
-// indistinguishable to the size-based planner — are ranked by their join
-// column's distinct count. Joining Seed through Keyed (distinct keys,
-// ~1 match per binding) before Skewed (5 distinct values, ~20 matches)
-// keeps the intermediate result small.
+// TestPlanOrderCostUsesDistincts: two join candidates of identical size
+// are ranked by their join column's distinct count. Joining Seed through
+// Keyed (distinct keys, ~1 match per binding) before Skewed (5 distinct
+// values, ~20 matches) keeps the intermediate result small.
 func TestPlanOrderCostUsesDistincts(t *testing.T) {
 	d := db.NewInstance()
 	for i := 0; i < 10; i++ {
@@ -218,44 +162,30 @@ func TestPlanOrderCostUsesDistincts(t *testing.T) {
 		d.MustAdd("Skewed", fmt.Sprintf("f%d", i), fmt.Sprintf("k%d", i%5), fmt.Sprintf("p%d", i))
 		d.MustAdd("Keyed", fmt.Sprintf("g%d", i), fmt.Sprintf("k%d", i), fmt.Sprintf("q%d", i))
 	}
-	// Body order puts Skewed before Keyed, so a size-based tie keeps it
-	// there; only the distinct-count division can flip the order.
-	q := query.MustParse("ans(x,z,w) :- Seed(x), Skewed(x,z), Keyed(x,w)")
-	order, ok := planOrderCost(q, d)
-	if !ok {
-		t.Fatal("instance relations must have statistics")
-	}
+	// Body order puts Skewed before Keyed and both hold 100 rows, so a tie
+	// on size keeps Skewed first; only the distinct-count division can
+	// flip the order.
+	order := planOrderOf(t, "ans(x,z,w) :- Seed(x), Skewed(x,z), Keyed(x,w)", d)
 	if order[0] != 0 || order[1] != 2 {
 		t.Errorf("cost order %v: want Seed then the key-joined atom [0 2 1]", order)
 	}
-	if szOrder := planOrder(q, d); szOrder[1] != 1 {
-		t.Errorf("size order %v: expected the size tie to keep body order — if the "+
-			"size planner distinguishes these atoms the cost test above is vacuous", szOrder)
-	}
-
-	// Standalone relations carry no sketches: the cost planner must decline
-	// so the hash join falls back to the size-based order.
-	free := db.NewRelation("F", 1)
-	_ = free
-	if _, ok := planOrderCost(query.MustParse("ans(x) :- Nope(x)"), d); !ok {
-		t.Log("absent relation handled by cost planner") // absent rel is fine: est 0
-	}
 }
 
-// TestInternedErrorParity pins that the interned paths reject malformed
-// queries with the same wording as the string paths (the server's HTTP
+// TestInternedErrorParity pins that the hash path and the enumerator
+// reject malformed queries with the same wording (the server's HTTP
 // status mapping matches on it).
 func TestInternedErrorParity(t *testing.T) {
-	forceHashJoin(t)
 	d := db.NewInstance()
 	d.MustAdd("R", "r1", "a", "b")
 	u := query.MustParseUnion("ans(x) :- R(x,y,z)") // arity mismatch
-	_, errInterned := EvalUCQOpts(u, d, Options{Join: JoinHash})
-	_, errString := EvalUCQOpts(u, d, Options{Join: JoinHash, NoIntern: true})
-	if errInterned == nil || errString == nil {
-		t.Fatalf("arity mismatch accepted: interned=%v string=%v", errInterned, errString)
+	forceHashJoin(t)
+	_, errHash := EvalUCQ(u, d)
+	forceEnumerator(t)
+	_, errEnum := EvalUCQ(u, d)
+	if errHash == nil || errEnum == nil {
+		t.Fatalf("arity mismatch accepted: hash=%v enumerator=%v", errHash, errEnum)
 	}
-	if errInterned.Error() != errString.Error() {
-		t.Errorf("error wording diverges:\n%q\nvs\n%q", errInterned, errString)
+	if errHash.Error() != errEnum.Error() {
+		t.Errorf("error wording diverges:\n%q\nvs\n%q", errHash, errEnum)
 	}
 }

@@ -10,19 +10,23 @@ import (
 // semiring, multiplying tag valuations per assignment and adding across
 // assignments — without materializing N[X] polynomials. By the
 // factorization property this agrees with EvalInSemiring (which evaluates
-// the polynomial afterwards), but skips the polynomial construction; the
-// evaluator ablation benchmark quantifies the saving.
+// the polynomial afterwards), but skips the polynomial construction;
+// BenchmarkSemiringEvalAblation measures the saving. Tuples are listed in
+// the order the enumerator first derives them.
 func EvalDirect[T any](u *query.UCQ, d *db.Instance, k semiring.Semiring[T], val func(tag string) T) (map[string]T, []db.Tuple, error) {
 	acc := map[string]T{}
 	var tuples []db.Tuple
 	for _, q := range u.Adjuncts {
-		err := ForEachAssignment(q, d, Options{}, func(a Assignment) error {
-			t := headTuple(q, a.Binding)
+		c, err := compileCQ(q, d)
+		if err != nil {
+			return nil, nil, err
+		}
+		err = c.forEach(-1, nil, func(rows []int, binding []uint32) error {
 			term := k.One()
-			for i, at := range q.Atoms {
-				rel := d.Lookup(at.Rel)
-				term = k.Mul(term, val(rel.Rows()[a.Rows[i]].Tag))
+			for i, at := range c.atoms {
+				term = k.Mul(term, val(at.rel.Rows()[rows[i]].Tag))
 			}
+			t := c.headTuple(binding)
 			key := t.Key()
 			if cur, ok := acc[key]; ok {
 				acc[key] = k.Add(cur, term)
@@ -48,19 +52,19 @@ type Derivation struct {
 	Monomial   semiring.Monomial
 }
 
-// Derivations enumerates all derivations of t under u over d.
+// Derivations enumerates all derivations of t under u over d, adjunct by
+// adjunct in ForEachAssignment's order.
 func Derivations(u *query.UCQ, d *db.Instance, t db.Tuple) ([]Derivation, error) {
 	var out []Derivation
 	for ai, q := range u.Adjuncts {
-		err := ForEachAssignment(q, d, Options{}, func(a Assignment) error {
-			if !headTuple(q, a.Binding).Equal(t) {
-				return nil
+		c, err := compileCQ(q, d)
+		if err != nil {
+			return nil, err
+		}
+		err = c.forEach(-1, nil, func(rows []int, binding []uint32) error {
+			if c.headTuple(binding).Equal(t) {
+				out = append(out, Derivation{AdjunctIdx: ai, Assignment: c.assignment(rows, binding), Monomial: c.monomial(rows)})
 			}
-			out = append(out, Derivation{
-				AdjunctIdx: ai,
-				Assignment: a,
-				Monomial:   assignmentMonomial(q, d, a),
-			})
 			return nil
 		})
 		if err != nil {

@@ -116,7 +116,7 @@ func TestLemma45AdjunctAssignmentsDisjoint(t *testing.T) {
 	d := workload.Table6()
 	seen := map[string]int{} // row-vector key -> adjunct index
 	for ai, adj := range can.Adjuncts {
-		err := eval.ForEachAssignment(adj, d, eval.Options{}, func(a eval.Assignment) error {
+		err := eval.ForEachAssignment(adj, d, func(a eval.Assignment) error {
 			key := ""
 			for _, r := range a.Rows {
 				key += string(rune('0' + r))

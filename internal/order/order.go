@@ -171,7 +171,7 @@ func saturates(adj [][]int, leftCap, rightCap []int) bool {
 // PolyLE: it matches each occurrence of p (largest degree first) to the
 // smallest still-available containing occurrence of q. It can report false
 // negatives; the ablation benchmark quantifies how often. Kept for the
-// DESIGN.md "matching vs greedy" ablation.
+// "matching vs greedy" ablation (BenchmarkPolyOrder).
 func GreedyPolyLE(p, q semiring.Polynomial) bool {
 	left := p.MonomialOccurrences()
 	right := q.MonomialOccurrences()

@@ -58,8 +58,8 @@
 // The cmd/ directory ships a CLI (cmd/provmin), the provmind server
 // (cmd/provmind), a replay of every worked example in the paper
 // (cmd/paperexamples) and the benchmark table generator (cmd/benchtables).
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// README.md describes the system and its layout; cmd/benchtables prints the
+// paper-versus-measured tables.
 package provmin
 
 import (
