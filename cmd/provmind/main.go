@@ -10,7 +10,6 @@
 //	provmind [-addr :8411] [-workers N] [-cache 1024]
 //	         [-eval-parallel 0]
 //	         [-result-cache-size 128] [-result-cache-bytes 33554432]
-//	         [-result-cache-maintain=true]
 //	         [-batch 256] [-shards 8]
 //	         [-data-dir DIR] [-wal-sync always|interval|none]
 //	         [-wal-sync-interval 100ms]
@@ -87,7 +86,6 @@ func main() {
 		cacheSize     = flag.Int("cache", 1024, "minimized-query LRU cache entries")
 		resCacheSize  = flag.Int("result-cache-size", 128, "result-cache entries per instance (0 disables result caching)")
 		resCacheBytes = flag.Int("result-cache-bytes", 32<<20, "approximate result-cache byte bound per instance (0 = entries-only bound)")
-		resCacheMaint = flag.Bool("result-cache-maintain", true, "incrementally maintain cached results across ingests instead of invalidating them")
 		batch         = flag.Int("batch", 256, "cap on the facts one ingest flush takes")
 		shards        = flag.Int("shards", 8, "registry/WAL stripe count")
 		dataDir       = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
@@ -216,19 +214,18 @@ func main() {
 		resBytes = -1
 	}
 	cfg := engine.Config{
-		Workers:                  *workers,
-		Eval:                     eval.Options{Parallelism: *evalParallel},
-		CacheSize:                *cacheSize,
-		ResultCacheSize:          resSize,
-		ResultCacheBytes:         resBytes,
-		DisableResultMaintenance: !*resCacheMaint,
-		IngestBatchSize:          *batch,
-		Shards:                   *shards,
-		Persist:                  logStore,
-		Metrics:                  reg,
-		Backend:                  backend,
-		ResidentBudgetBytes:      *residentBytes,
-		ColdAfter:                *coldAfter,
+		Workers:             *workers,
+		Eval:                eval.Options{Parallelism: *evalParallel},
+		CacheSize:           *cacheSize,
+		ResultCacheSize:     resSize,
+		ResultCacheBytes:    resBytes,
+		IngestBatchSize:     *batch,
+		Shards:              *shards,
+		Persist:             logStore,
+		Metrics:             reg,
+		Backend:             backend,
+		ResidentBudgetBytes: *residentBytes,
+		ColdAfter:           *coldAfter,
 	}
 	// Clustered lookup misses heal from the shared cold tier: the ring
 	// owner adopts the blob outright (it may have been released by a

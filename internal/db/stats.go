@@ -1,7 +1,6 @@
 package db
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -78,18 +77,4 @@ func (r *Relation) DistinctEstimate(col int) (float64, bool) {
 		e = n
 	}
 	return e, true
-}
-
-// Stats renders the relation's per-column distinct estimates for
-// introspection (admin endpoints, tests).
-func (r *Relation) Stats() string {
-	s := fmt.Sprintf("%s/%d rows=%d distinct~[", r.Name, r.Arity, r.Len())
-	for c := 0; c < r.Arity; c++ {
-		if c > 0 {
-			s += " "
-		}
-		e, _ := r.DistinctEstimate(c)
-		s += fmt.Sprintf("%.0f", e)
-	}
-	return s + "]"
 }

@@ -166,7 +166,6 @@ func (b *ingestBatcher) flush(batch []*ingestReq) {
 		b.inst.mu.RLock()
 		gen := b.inst.version + 1
 		b.inst.mu.RUnlock()
-		applied := false
 		var delta, newBytes int64
 		// Maintenance bookkeeping: pre-insert row counts of the relations
 		// this batch touches (rows are append-only, so the inserted facts
@@ -180,7 +179,6 @@ func (b *ingestBatcher) flush(batch []*ingestReq) {
 		var plan []maintainTask
 		var newSymbols int
 		apply := func(seq uint64) {
-			applied = true
 			b.inst.mu.Lock()
 			symsBefore := b.inst.db.Symbols().Len()
 			for _, f := range facts {
@@ -215,7 +213,7 @@ func (b *ingestBatcher) flush(batch []*ingestReq) {
 			// pinned until LRU pressure. Both run under the write lock:
 			// evalCached puts only while holding the read lock over the
 			// same generation it stamped.
-			if b.eng.cfg.DisableResultMaintenance || overwrite {
+			if overwrite {
 				b.inst.results.invalidateAll()
 			} else {
 				plan = b.inst.results.planMaintenance(gen-1, created)
@@ -223,25 +221,15 @@ func (b *ingestBatcher) flush(batch []*ingestReq) {
 			newSymbols = b.inst.db.Symbols().Len() - symsBefore
 			b.inst.mu.Unlock()
 		}
-		if log := b.eng.log; log != nil {
-			rec := persist.Record{Op: persist.OpIngest, ID: b.inst.id, Facts: facts, Gen: gen}
-			if _, err := log.Commit(rec, apply); err != nil {
-				// Mirror the create/drop wording: an append failure means
-				// nothing was applied; a post-apply fsync failure means the
-				// facts are visible (and logged) but durability was not
-				// confirmed — the caller must not assume either way.
-				if applied {
-					err = fmt.Errorf("wal: applied but not confirmed durable: %w", err)
-				} else {
-					err = fmt.Errorf("wal: not applied: %w", err)
-				}
-				for _, req := range valid {
-					req.resp <- err
-				}
-				valid = nil
+		// A failed commit fails every request of the batch, worded by
+		// whether the facts were applied: the caller must not assume a
+		// write that was applied but not confirmed durable either way.
+		applied, err := b.eng.commit(persist.Record{Op: persist.OpIngest, ID: b.inst.id, Facts: facts, Gen: gen}, apply)
+		if err != nil {
+			for _, req := range valid {
+				req.resp <- err
 			}
-		} else {
-			apply(0)
+			valid = nil
 		}
 		if applied {
 			b.eng.noteInstanceBytes(b.inst.id, delta, newBytes)

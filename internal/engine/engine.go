@@ -25,18 +25,22 @@
 // # Lock order
 //
 // The engine's locks form a strict hierarchy; a goroutine only acquires
-// a lock whose level is greater than every lock it already holds:
+// a lock that comes after every lock it already holds:
 //
-//	closeMu (1) -> registry shard mu (2) -> instance mu (3) -> batcher addMu (4)
+//	closeMu -> flight lock -> WAL stripe -> shard mu -> instance mu -> batcher addMu
 //
-// closeMu is the close fence (every state transition holds its read
-// side, Close the write side); the shard mutex guards one registry
-// stripe's instance maps; the instance lock serializes ingest against
-// queries on one instance; addMu is the batcher's shutdown fence. The
-// order is machine-checked: each field carries a //provlint:lockorder
-// directive and the provlint lockdiscipline analyzer (see
-// internal/analysis/lockdiscipline) rejects out-of-order acquisition at
-// build time in CI.
+// closeMu is the close barrier (every registry transition holds its read
+// side, Close the write side); the flight lock, one per instance id,
+// serializes the transitions of that id; the WAL stripe mutex (in
+// internal/persist) is held while a commit applies its record; the shard
+// mutex guards one registry stripe's instance maps; the instance lock
+// serializes ingest against queries on one instance; addMu is the
+// batcher's shutdown fence. Only transition (registry.go) holds closeMu's
+// read side and a flight lock (waitResidency takes one only to wait it
+// out), and only commit writes the log. The four mutex fields carry
+// //provlint:lockorder levels 1–4, and the provlint lockdiscipline
+// analyzer (see internal/analysis/lockdiscipline) rejects out-of-order
+// acquisition of them at build time in CI.
 package engine
 
 import (
@@ -80,11 +84,6 @@ type Config struct {
 	// approximate resident bytes (default 32 MiB; negative removes the
 	// byte bound, leaving only the entry cap).
 	ResultCacheBytes int64
-	// DisableResultMaintenance turns off incremental result maintenance:
-	// every ingest falls back to invalidating the instance's cached
-	// results instead of promoting eligible entries with delta
-	// evaluation. The ablation switch for -result-cache-maintain=false.
-	DisableResultMaintenance bool
 	// IngestBatchSize caps the facts one flush takes (default 256). A
 	// flush never waits for a batch to fill: it takes the requests queued
 	// when it starts, so the cap binds only under load.
@@ -181,14 +180,12 @@ type Engine struct {
 	nextID atomic.Uint64
 	closed atomic.Bool
 
-	// closeMu is the shutdown barrier: every mutation that may write the
-	// WAL or the cold backend outside an ingest batcher (create, drop,
-	// evict, fault-in, release, adopt, borrow) holds the read side across
-	// its whole body, and Close takes the write side — after setting closed
-	// and stopping the janitor, before closing batchers and the log. A
-	// transition therefore either observes closed before doing anything, or
-	// finishes its WAL commit before the log's final sync: no evict or
-	// release record can land after the store closes.
+	// closeMu is the shutdown barrier: every registry transition holds the
+	// read side across its whole body (see transition), and Close takes
+	// the write side — after setting closed and stopping the janitor,
+	// before closing batchers and the log. A transition therefore either
+	// observes closed before doing anything, or finishes its WAL commit
+	// before the log's final sync.
 	closeMu sync.RWMutex //provlint:lockorder 1
 
 	// sfMu/inflight give Minimize singleflight semantics: concurrent
@@ -196,9 +193,10 @@ type Engine struct {
 	sfMu     sync.Mutex
 	inflight map[string]*minFlight
 
-	// Tiered-storage state (residency.go). backend/tracker are nil/unused
-	// when tiering is off; residentBytes and per-instance byte accounting
-	// are maintained either way for /admin/cache and /metrics.
+	// Tiered-storage state (residency.go) and the flight locks
+	// (registry.go). backend/tracker are nil/unused when tiering is off;
+	// residentBytes and per-instance byte accounting are maintained either
+	// way for /admin/cache and /metrics.
 	backend       tier.SnapshotBackend
 	tracker       *tier.Tracker
 	residentBytes atomic.Int64
@@ -208,10 +206,10 @@ type Engine struct {
 	janitorDone   chan struct{}
 }
 
-// regShard is one registry stripe. Lock ordering: a shard's WAL mutex (in
-// persist, held across Commit and Snapshot) comes before regShard.mu,
-// which comes before instance.mu. count mirrors len(instances) so the
-// occupancy gauges refresh without touching any other stripe's lock.
+// regShard is one registry stripe; its mutex comes after the stripe's WAL
+// mutex in the lock order (see the package doc). count mirrors
+// len(instances) so the occupancy gauges refresh without touching any
+// other stripe's lock.
 type regShard struct {
 	mu        sync.RWMutex //provlint:lockorder 2
 	instances map[string]*instance
@@ -258,7 +256,7 @@ type instance struct {
 }
 
 // currentBatcher reads the batcher under the instance lock: an aborted
-// eviction replaces a closed batcher with a fresh one (reviveBatcher), so
+// removal replaces a closed batcher with a fresh one (reviveBatcher), so
 // the field is no longer immutable after construction.
 func (in *instance) currentBatcher() *ingestBatcher {
 	in.mu.RLock()
@@ -308,20 +306,10 @@ func New(cfg Config) *Engine {
 		e.shards[i] = &regShard{instances: map[string]*instance{}, cold: map[string]InstanceInfo{}}
 	}
 	if e.log != nil {
-		now := time.Now()
-		for _, rec := range e.log.TakeRecovered() {
-			in := &instance{id: rec.ID, db: rec.DB, version: rec.Version, lastSeq: rec.LastSeq, bytes: instanceCost(rec.DB)}
-			in.results = e.newResultCache()
-			in.batcher = newIngestBatcher(e, in, cfg.IngestBatchSize)
-			sh := e.shardOf(rec.ID)
-			sh.instances[rec.ID] = in
-			sh.count.Add(1)
-			e.residentBytes.Add(in.bytes)
-			if e.backend != nil {
-				e.tracker.Add(rec.ID, in.bytes, now)
-			}
+		for _, st := range e.log.TakeRecovered() {
+			e.link(e.newInstance(st, false))
 		}
-		e.nextID.Store(e.log.NextID())
+		e.raiseNextID(e.log.NextID())
 	}
 	e.updateShardGauges()
 	if e.backend != nil && cfg.JanitorInterval >= 0 {
@@ -399,230 +387,82 @@ type InstanceInfo struct {
 // ("<relation> <tag> <value>..." per line). When durable, the create (with
 // its seed text) is write-ahead-logged before the instance becomes visible.
 func (e *Engine) CreateInstance(initial string) (InstanceInfo, error) {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
 	return e.createInstance(fmt.Sprintf("i%d", e.nextID.Add(1)), initial)
 }
 
 // CreateInstanceWithID registers a new instance under a caller-chosen id —
 // the cluster router picks ids so the ring, not the owning node's counter,
 // determines placement. The id must be storage-key-safe; a duplicate is
-// ErrInstanceExists. Serialized against residency transitions for the same
-// id so a create cannot interleave with an adopt or release of it.
+// ErrInstanceExists.
 func (e *Engine) CreateInstanceWithID(id, initial string) (InstanceInfo, error) {
 	if _, err := tier.BlobName(id); err != nil {
 		return InstanceInfo{}, fmt.Errorf("%w: %v", ErrBadInstanceID, err)
 	}
-	// Lock order: the shutdown barrier strictly before the flight mutex
-	// (matching evict/fault-in/adopt), else a queued Close writer wedges a
-	// create holding the flight lock against an evict holding the barrier.
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	release := e.lockResidency(id)
-	defer release()
-	sh := e.shardOf(id)
-	sh.mu.RLock()
-	_, resident := sh.instances[id]
-	_, cold := sh.cold[id]
-	sh.mu.RUnlock()
-	if resident || cold {
-		return InstanceInfo{}, fmt.Errorf("%w: %q", ErrInstanceExists, id)
-	}
 	// Keep generated ids from ever colliding with an explicit "i<n>".
-	if n := numericInstanceID(id); n > 0 {
-		for {
-			cur := e.nextID.Load()
-			if n <= cur || e.nextID.CompareAndSwap(cur, n) {
-				break
-			}
-		}
-	}
+	e.raiseNextID(numericInstanceID(id))
 	return e.createInstance(id, initial)
 }
 
-// createInstance is the shared create path behind both id schemes. The
-// caller holds closeMu.RLock.
-func (e *Engine) createInstance(id, initial string) (InstanceInfo, error) {
-	d := db.NewInstance()
-	if initial != "" {
-		parsed, err := db.ParseInstance(initial)
-		if err != nil {
-			return InstanceInfo{}, fmt.Errorf("%w: %v", ErrInvalidSeed, err)
+// createInstance is the create transition behind both id schemes.
+func (e *Engine) createInstance(id, initial string) (info InstanceInfo, err error) {
+	err = e.transition(id, func(in *instance, cold bool) error {
+		if in != nil || cold {
+			return fmt.Errorf("%w: %q", ErrInstanceExists, id)
 		}
-		d = parsed
-	}
-	if e.closed.Load() {
-		return InstanceInfo{}, ErrClosed
-	}
-	in := &instance{id: id, db: d, bytes: instanceCost(d)}
-	in.results = e.newResultCache()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
-	inserted := false
-	exists := false
-	insert := func(uint64) {
-		sh := e.shardOf(in.id)
-		sh.mu.Lock()
-		// Last-line duplicate guard: explicit-id creates pre-check under the
-		// flight lock, so this only fires on pathological races — better a
-		// 409 than silently replacing a live instance.
-		if _, dup := sh.instances[in.id]; dup {
-			exists = true
-		} else if _, dup := sh.cold[in.id]; dup {
-			exists = true
-		} else if !e.closed.Load() {
-			// Re-check closed under the shard lock so a concurrent Close
-			// cannot miss this instance's batcher. (A durable create that
-			// loses this race has already been logged: replay will recreate
-			// it as an unowned instance on the next boot — recovery may
-			// contain more than was acknowledged, never less.)
-			sh.instances[in.id] = in
-			sh.count.Add(1)
-			inserted = true
-		}
-		sh.mu.Unlock()
-		if inserted {
-			e.residentBytes.Add(in.bytes)
-			if e.backend != nil {
-				e.tracker.Add(in.id, in.bytes, time.Now())
+		d := db.NewInstance()
+		if initial != "" {
+			parsed, err := db.ParseInstance(initial)
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrInvalidSeed, err)
 			}
+			d = parsed
 		}
-	}
-	if e.log != nil {
-		_, err := e.log.Commit(persist.Record{Op: persist.OpCreate, ID: in.id, Initial: initial}, insert)
-		if err != nil && !inserted {
-			// The append failed before anything mutated: a clean failure.
+		in = e.newInstance(persist.InstanceState{ID: id, DB: d}, false)
+		applied, err := e.commit(persist.Record{Op: persist.OpCreate, ID: id, Initial: initial}, func(uint64) { e.link(in) })
+		if !applied {
 			in.batcher.close()
-			return InstanceInfo{}, fmt.Errorf("create %s: %w", in.id, err)
+			return err
 		}
-		if err != nil {
-			// The record was appended and applied but the fsync failed:
-			// the create is live in memory and may well be durable. Keep
-			// the instance (its batcher stays usable) and return its real
-			// info alongside the storage error, so the caller has a handle
-			// to the live instance instead of only an error string.
-			e.updateShardGauges()
-			return InstanceInfo{ID: in.id, Relations: len(d.Relations()), Tuples: d.NumTuples()},
-				fmt.Errorf("create %s: applied but not confirmed durable: %w", in.id, err)
-		}
-	} else {
-		insert(0)
-	}
-	if !inserted {
-		in.batcher.close()
-		if exists {
-			return InstanceInfo{}, fmt.Errorf("%w: %q", ErrInstanceExists, in.id)
-		}
-		return InstanceInfo{}, ErrClosed
-	}
-	e.updateShardGauges()
-	return InstanceInfo{ID: in.id, Relations: len(d.Relations()), Tuples: d.NumTuples()}, nil
+		// A create whose sync failed is live and may well be durable: its
+		// info goes back with the error, so the caller has a handle on it.
+		info = InstanceInfo{ID: id, Relations: len(d.Relations()), Tuples: d.NumTuples()}
+		return err
+	})
+	return info, err
 }
 
-// DropInstance removes an instance and stops its batcher. The boolean is
-// false when no such instance exists. When durable, the drop is
-// write-ahead-logged before the instance disappears; a log-append failure
-// leaves the instance fully in place and is reported as an error, distinct
-// from not-found. A drop that was applied but whose fsync failed still
-// returns an error — the instance is gone from memory but the drop may
-// not be durable.
-func (e *Engine) DropInstance(id string) (bool, error) {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.backend != nil {
-		// Serialize against evict/fault-in so the instance cannot change
-		// residency state under the drop.
-		release := e.lockResidency(id)
-		defer release()
-	}
-	sh := e.shardOf(id)
-	sh.mu.RLock()
-	in, ok := sh.instances[id]
-	_, cold := sh.cold[id]
-	sh.mu.RUnlock()
-	if !ok {
-		if cold {
-			return e.dropCold(id)
+// DropInstance removes an instance and stops its batcher; the boolean is
+// false when no such instance exists. The batcher is closed before the
+// drop is write-ahead-logged, so no write is applied or logged after the
+// drop. A log-append failure leaves the instance fully in place and is
+// reported as an error, distinct from not-found. A drop that was applied
+// but whose fsync failed returns true with an error: the instance is gone
+// from memory but the drop may not be durable.
+func (e *Engine) DropInstance(id string) (dropped bool, err error) {
+	err = e.transition(id, func(in *instance, cold bool) error {
+		switch {
+		case in == nil && !cold:
+			return nil
+		case in != nil && in.borrowed:
+			// A borrowed copy is not ours to drop durably: discard the RAM
+			// copy without a WAL record, and never GC the blob — it belongs
+			// to the owning node.
+			e.discardBorrowed(in)
+			dropped = true
+			return nil
+		case in != nil:
+			in.currentBatcher().close()
 		}
-		return false, nil
-	}
-	if in.borrowed {
-		// A borrowed copy is not ours to drop durably: discard the RAM copy
-		// without a WAL record, and never GC the blob — it belongs to the
-		// owning node.
-		return e.discardBorrowed(in), nil
-	}
-	removed := false
-	var bytes int64
-	remove := func(uint64) {
-		sh.mu.Lock()
-		if cur, ok := sh.instances[id]; ok && cur == in {
-			delete(sh.instances, id)
-			sh.count.Add(-1)
-			removed = true
-		}
-		sh.mu.Unlock()
-	}
-	finish := func() {
-		in.mu.RLock()
-		bytes = in.bytes
-		in.mu.RUnlock()
-		e.residentBytes.Add(-bytes)
-		e.tracker.Remove(id)
-		in.currentBatcher().close()
-		in.results.purge()
-		e.gcBlob(id)
-	}
-	if e.log != nil {
-		if _, err := e.log.Commit(persist.Record{Op: persist.OpDrop, ID: id}, remove); err != nil {
-			if !removed {
-				return false, fmt.Errorf("drop %s: %w", id, err)
-			}
-			e.updateShardGauges()
-			finish()
-			return true, fmt.Errorf("drop %s: applied but not confirmed durable: %w", id, err)
-		}
-	} else {
-		remove(0)
-	}
-	e.updateShardGauges()
-	if removed {
-		finish()
-	}
-	return removed, nil
-}
-
-// dropCold removes a cold instance: the drop record first (boot GC retries
-// the blob deletion via DroppedIDs if we crash or fail past this point),
-// then the blob itself. Caller holds the residency flight lock.
-func (e *Engine) dropCold(id string) (bool, error) {
-	sh := e.shardOf(id)
-	removed := false
-	remove := func(uint64) {
-		sh.mu.Lock()
-		if _, ok := sh.cold[id]; ok {
-			delete(sh.cold, id)
-			sh.coldCount.Add(-1)
-			removed = true
-		}
-		sh.mu.Unlock()
-	}
-	if e.log != nil {
-		if _, err := e.log.Commit(persist.Record{Op: persist.OpDrop, ID: id}, remove); err != nil {
-			if !removed {
-				return false, fmt.Errorf("drop %s: %w", id, err)
-			}
-			e.updateShardGauges()
+		applied, err := e.retire(in, persist.Record{Op: persist.OpDrop, ID: id}, false)
+		if applied {
+			// The drop record comes first: boot GC retries the blob
+			// deletion via DroppedIDs if this one fails or a crash cuts in.
+			dropped = true
 			e.gcBlob(id)
-			return true, fmt.Errorf("drop %s: applied but not confirmed durable: %w", id, err)
 		}
-	} else {
-		remove(0)
-	}
-	e.updateShardGauges()
-	if removed {
-		e.gcBlob(id)
-	}
-	return removed, nil
+		return err
+	})
+	return dropped, err
 }
 
 // gcBlob best-effort deletes an instance's cold blob after a drop. A
@@ -900,9 +740,10 @@ func (e *Engine) Ingest(id string, facts []Fact) error {
 		}
 		if err := in.currentBatcher().add(facts); err != nil {
 			if errors.Is(err, errInstanceClosed) && !e.closed.Load() {
-				// The batcher was closed by an eviction racing this write.
-				// Wait for the residency transition to settle, then retry:
-				// lookup will fault the instance back in with a live batcher.
+				// The batcher was closed by a removal racing this write.
+				// Wait for the transition to settle, then retry: lookup
+				// faults an evicted instance back in with a live batcher,
+				// or reports a dropped one unknown.
 				e.waitResidency(id)
 				continue
 			}
@@ -1036,7 +877,6 @@ type ResultCacheStats struct {
 	Evictions     int64                `json:"evictions"`
 	Invalidations int64                `json:"invalidations"`
 	Promotions    int64                `json:"promotions"`
-	Maintain      bool                 `json:"maintain"`
 	MinCacheLen   int                  `json:"minimized_query_entries"`
 	Instances     []InstanceCacheStats `json:"instances"`
 }
@@ -1054,7 +894,6 @@ func (e *Engine) ResultCacheStatsNow() ResultCacheStats {
 		Evictions:     e.resStats.evictions.Value(),
 		Invalidations: e.resStats.invalidations.Value(),
 		Promotions:    e.resStats.promotions.Value(),
-		Maintain:      !e.cfg.DisableResultMaintenance,
 		MinCacheLen:   e.cache.len(),
 		Instances:     []InstanceCacheStats{},
 	}

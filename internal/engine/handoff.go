@@ -25,6 +25,9 @@ import (
 //     as a read-only "borrowed" instance, letting a replica serve reads
 //     while the owner is down, without ever acting like the owner.
 //
+// Each of these is a registry transition (registry.go), serialized with
+// every other transition of the same id.
+//
 // The LastSeq rewrite in AdoptInstance is load-bearing. A blob's LastSeq is
 // a sequence number in the *originating node's* WAL; replayed against this
 // node's WAL it would be garbage — typically large, making replay skip
@@ -45,91 +48,37 @@ func (e *Engine) AdoptInstance(ctx context.Context, id string) error {
 	if e.backend == nil {
 		return ErrNoTiering
 	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	release := e.lockResidency(id)
-	defer release()
-
-	sh := e.shardOf(id)
-	sh.mu.RLock()
-	in, resident := sh.instances[id]
-	_, cold := sh.cold[id]
-	sh.mu.RUnlock()
-	if resident {
-		if !in.borrowed {
+	return e.transition(id, func(in *instance, cold bool) error {
+		if cold || (in != nil && !in.borrowed) {
 			return nil
 		}
-		e.discardBorrowed(in)
-	} else if cold {
-		return nil
-	}
-
-	raw, err := e.backend.Get(ctx, id)
-	if err != nil {
+		if in != nil {
+			e.discardBorrowed(in)
+		}
+		st, err := e.loadBlob(ctx, id)
 		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("%w %q (no cold blob to adopt)", ErrUnknownInstance, id)
 		}
-		return fmt.Errorf("adopt %s: %w", id, err)
-	}
-	st, err := persist.DecodeInstanceBlob(raw)
-	if err != nil {
-		return fmt.Errorf("adopt %s: %w", id, err)
-	}
-	if st.ID != id {
-		return fmt.Errorf("adopt %s: blob carries instance id %q", id, st.ID)
-	}
-	// Rebase the blob into this node's WAL sequence space: a foreign
-	// LastSeq replayed locally would make recovery skip local ingest
-	// records. Rewriting before registering keeps the invariant that every
-	// cold blob in the registry is replayable against the local log.
-	if st.LastSeq != 0 {
-		st.LastSeq = 0
-		rebased, err := persist.EncodeInstanceBlob(st)
 		if err != nil {
 			return fmt.Errorf("adopt %s: %w", id, err)
 		}
-		if err := e.backend.Put(ctx, id, rebased); err != nil {
-			return fmt.Errorf("adopt %s: %w", id, err)
-		}
-	}
-
-	info := InstanceInfo{
-		ID:        id,
-		Relations: len(st.DB.Relations()),
-		Tuples:    st.DB.NumTuples(),
-		Version:   st.Version,
-		State:     "cold",
-	}
-	adopted := false
-	sh.mu.Lock()
-	if !e.closed.Load() {
-		if _, dup := sh.instances[id]; !dup {
-			if _, dup := sh.cold[id]; !dup {
-				sh.cold[id] = info
-				sh.coldCount.Add(1)
-				adopted = true
+		// Rebase the blob into this node's WAL sequence space: a foreign
+		// LastSeq replayed locally would make recovery skip local ingest
+		// records. Rewriting before registering keeps the invariant that
+		// every cold blob in the registry is replayable against the local
+		// log.
+		if st.LastSeq != 0 {
+			st.LastSeq = 0
+			if err := e.toBlob(ctx, st); err != nil {
+				return fmt.Errorf("adopt %s: %w", id, err)
 			}
 		}
-	}
-	sh.mu.Unlock()
-	if !adopted {
-		return ErrClosed
-	}
-	// Generated ids must never collide with an adopted one.
-	if n := numericInstanceID(id); n > 0 {
-		for {
-			cur := e.nextID.Load()
-			if n <= cur || e.nextID.CompareAndSwap(cur, n) {
-				break
-			}
-		}
-	}
-	e.reg.Counter("engine_adopts_total").Inc()
-	e.updateShardGauges()
-	return nil
+		e.addCold(InstanceInfo{ID: id, Relations: len(st.DB.Relations()), Tuples: st.DB.NumTuples(), Version: st.Version, State: "cold"})
+		// Generated ids must never collide with an adopted one.
+		e.raiseNextID(numericInstanceID(id))
+		e.reg.Counter("engine_adopts_total").Inc()
+		return nil
+	})
 }
 
 // ReleaseInstance gives up local ownership of an instance for a cluster
@@ -142,130 +91,33 @@ func (e *Engine) ReleaseInstance(ctx context.Context, id string) error {
 	if e.backend == nil {
 		return ErrNoTiering
 	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	release := e.lockResidency(id)
-	defer release()
-
-	sh := e.shardOf(id)
-	sh.mu.RLock()
-	in, resident := sh.instances[id]
-	_, cold := sh.cold[id]
-	sh.mu.RUnlock()
-	switch {
-	case resident && in.borrowed:
-		e.discardBorrowed(in)
-		return nil
-	case resident:
-		return e.releaseResident(ctx, in)
-	case cold:
-		return e.releaseCold(id)
-	default:
-		return fmt.Errorf("%w %q", ErrUnknownInstance, id)
-	}
-}
-
-// releaseResident snapshots a resident owned instance into its blob and
-// forgets it. Caller holds closeMu.RLock and the id's flight lock.
-func (e *Engine) releaseResident(ctx context.Context, in *instance) error {
-	id := in.id
-	sh := e.shardOf(id)
-	// Same write fence as eviction: after close returns, nothing mutates
-	// the database, so the captured blob is the instance's final state.
-	in.currentBatcher().close()
-
-	in.mu.RLock()
-	st := persist.InstanceState{ID: id, DB: in.db, Version: in.version, LastSeq: in.lastSeq}
-	blob, err := persist.EncodeInstanceBlob(st)
-	bytes := in.bytes
-	in.mu.RUnlock()
-	if err == nil {
-		err = e.backend.Put(ctx, id, blob)
-	}
-	if err != nil {
-		e.reviveBatcher(in)
-		return fmt.Errorf("release %s: %w", id, err)
-	}
-
-	removed := false
-	remove := func(uint64) {
-		sh.mu.Lock()
-		if cur, ok := sh.instances[id]; ok && cur == in {
-			delete(sh.instances, id)
-			sh.count.Add(-1)
-			removed = true
-		}
-		sh.mu.Unlock()
-	}
-	if e.log != nil {
-		if _, err := e.log.Commit(persist.Record{Op: persist.OpRelease, ID: id}, remove); err != nil {
-			if !removed {
+	return e.transition(id, func(in *instance, cold bool) error {
+		switch {
+		case in == nil && !cold:
+			return fmt.Errorf("%w %q", ErrUnknownInstance, id)
+		case in != nil && in.borrowed:
+			e.discardBorrowed(in)
+			return nil
+		case in != nil:
+			// Same write fence as eviction: after close returns, nothing
+			// mutates the database, so the blob is the instance's final
+			// state. A cold instance's blob is current by construction:
+			// eviction wrote it and cold state never mutates.
+			in.currentBatcher().close()
+			if err := e.toBlob(ctx, in.state()); err != nil {
 				e.reviveBatcher(in)
 				return fmt.Errorf("release %s: %w", id, err)
 			}
-			// Applied but fsync unconfirmed: the blob is durable, so if the
-			// release record is lost, replay resurrects the instance locally
-			// — both nodes may own it until the next rebalance, never
-			// neither. Report like other post-apply sync failures.
-			e.finishRelease(in, bytes)
-			return fmt.Errorf("release %s: applied but not confirmed durable: %w", id, err)
 		}
-	} else {
-		remove(0)
-	}
-	if !removed {
-		return fmt.Errorf("%w %q", ErrUnknownInstance, id)
-	}
-	e.finishRelease(in, bytes)
-	return nil
-}
-
-// releaseCold forgets an already-cold instance: its blob is current by
-// construction (eviction wrote it and cold state never mutates), so only
-// the stub and the WAL history need to go.
-func (e *Engine) releaseCold(id string) error {
-	sh := e.shardOf(id)
-	removed := false
-	remove := func(uint64) {
-		sh.mu.Lock()
-		if _, ok := sh.cold[id]; ok {
-			delete(sh.cold, id)
-			sh.coldCount.Add(-1)
-			removed = true
-		}
-		sh.mu.Unlock()
-	}
-	if e.log != nil {
-		if _, err := e.log.Commit(persist.Record{Op: persist.OpRelease, ID: id}, remove); err != nil {
-			if !removed {
-				return fmt.Errorf("release %s: %w", id, err)
-			}
+		// If the record is applied but its sync fails, the blob is durable:
+		// should the record be lost, replay resurrects the instance locally
+		// — both nodes may own it until the next rebalance, never neither.
+		applied, err := e.retire(in, persist.Record{Op: persist.OpRelease, ID: id}, false)
+		if applied {
 			e.reg.Counter("engine_releases_total").Inc()
-			e.updateShardGauges()
-			return fmt.Errorf("release %s: applied but not confirmed durable: %w", id, err)
 		}
-	} else {
-		remove(0)
-	}
-	if !removed {
-		return fmt.Errorf("%w %q", ErrUnknownInstance, id)
-	}
-	e.reg.Counter("engine_releases_total").Inc()
-	e.updateShardGauges()
-	return nil
-}
-
-// finishRelease settles accounting after the registry forgot a resident
-// instance (mirrors finishEvict, without the eviction metrics).
-func (e *Engine) finishRelease(in *instance, bytes int64) {
-	in.results.purge()
-	e.tracker.Remove(in.id)
-	e.residentBytes.Add(-bytes)
-	e.reg.Counter("engine_releases_total").Inc()
-	e.updateShardGauges()
+		return err
+	})
 }
 
 // borrowIn loads another node's cold blob as a read-only borrowed copy —
@@ -277,93 +129,30 @@ func (e *Engine) borrowIn(id string) error {
 	if e.backend == nil {
 		return ErrNoTiering
 	}
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	release := e.lockResidency(id)
-	defer release()
-
-	sh := e.shardOf(id)
-	sh.mu.RLock()
-	_, resident := sh.instances[id]
-	_, cold := sh.cold[id]
-	sh.mu.RUnlock()
-	if resident || cold {
-		return nil // lookup's retry will find (or fault in) the local entry
-	}
-
-	start := time.Now()
-	raw, err := e.backend.Get(context.Background(), id)
-	if err != nil {
+	return e.transition(id, func(in *instance, cold bool) error {
+		if in != nil || cold {
+			return nil // lookup's retry will find (or fault in) the local entry
+		}
+		start := time.Now()
+		st, err := e.loadBlob(context.Background(), id)
 		if errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("%w %q", ErrUnknownInstance, id)
 		}
-		return fmt.Errorf("borrow %s: %w", id, err)
-	}
-	st, err := persist.DecodeInstanceBlob(raw)
-	if err != nil {
-		return fmt.Errorf("borrow %s: %w", id, err)
-	}
-	if st.ID != id {
-		return fmt.Errorf("borrow %s: blob carries instance id %q", id, st.ID)
-	}
-
-	in := &instance{id: id, borrowed: true, db: st.DB, version: st.Version, bytes: instanceCost(st.DB)}
-	in.results = e.newResultCache()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
-
-	installed := false
-	sh.mu.Lock()
-	if !e.closed.Load() {
-		if _, dup := sh.instances[id]; !dup {
-			sh.instances[id] = in
-			sh.count.Add(1)
-			installed = true
+		if err != nil {
+			return fmt.Errorf("borrow %s: %w", id, err)
 		}
-	}
-	sh.mu.Unlock()
-	if !installed {
-		in.batcher.close()
-		return ErrClosed
-	}
-	in.mu.RLock()
-	bytes := in.bytes
-	in.mu.RUnlock()
-	e.tracker.Add(id, bytes, time.Now())
-	e.residentBytes.Add(bytes)
-	e.reg.Counter("engine_borrows_total").Inc()
-	e.reg.Histogram("engine_borrow_seconds").Observe(time.Since(start))
-	e.updateShardGauges()
-	return nil
+		e.link(e.newInstance(st, true))
+		e.reg.Counter("engine_borrows_total").Inc()
+		e.reg.Histogram("engine_borrow_seconds").Observe(time.Since(start))
+		return nil
+	})
 }
 
 // discardBorrowed drops a borrowed copy from RAM: no WAL record (it was
 // never in the local history) and no blob GC (the blob is the owner's).
-// Returns whether this call removed it. Caller holds the id's flight lock.
-func (e *Engine) discardBorrowed(in *instance) bool {
-	id := in.id
-	sh := e.shardOf(id)
-	removed := false
-	sh.mu.Lock()
-	if cur, ok := sh.instances[id]; ok && cur == in {
-		delete(sh.instances, id)
-		sh.count.Add(-1)
-		removed = true
-	}
-	sh.mu.Unlock()
-	if !removed {
-		return false
-	}
-	in.mu.RLock()
-	bytes := in.bytes
-	in.mu.RUnlock()
-	e.residentBytes.Add(-bytes)
-	e.tracker.Remove(id)
+// The caller runs inside a transition of the copy's id.
+func (e *Engine) discardBorrowed(in *instance) {
 	in.currentBatcher().close()
-	in.results.purge()
+	e.unlink(in, nil)
 	e.reg.Counter("engine_borrow_discards_total").Inc()
-	e.updateShardGauges()
-	return true
 }

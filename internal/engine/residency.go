@@ -23,12 +23,11 @@ import (
 // back in transparently. A janitor enforces the byte budget and the
 // cold-after idle deadline using the tier.Tracker's LRU order.
 //
-// Per-id residency transitions (evict, fault-in, drop) are serialized by a
-// flight mutex, which also makes fault-in single-flight: concurrent
-// requests for one cold instance load its blob exactly once, the rest wait
-// on the flight and find the instance resident. Lock ordering: the flight
-// mutex is taken before everything else (WAL shard mutex, regShard.mu,
-// instance.mu); the tracker's internal mutex is a leaf.
+// Evict and fault-in are registry transitions (registry.go): the id's
+// flight lock serializes them with every other transition of the id and
+// makes fault-in single-flight — concurrent requests for one cold
+// instance load its blob exactly once, the rest wait on the flight and
+// find the instance resident. The tracker's internal mutex is a leaf.
 
 // ErrNoTiering is returned by EvictInstance when no snapshot backend is
 // configured — a deployment-shape condition (HTTP 409), like
@@ -43,268 +42,96 @@ const faultInRetries = 8
 // Tiered reports whether a snapshot backend is configured.
 func (e *Engine) Tiered() bool { return e.backend != nil }
 
-// resFlight is one id's residency transition lock (see lockResidency).
-type resFlight struct {
-	mu   chan struct{} // 1-buffered: a mutex that supports try-free cleanup
-	refs int
-}
-
-// lockResidency acquires the per-id residency flight mutex and returns its
-// release func. The flight map holds an entry only while someone holds or
-// waits for the lock, so idle instances cost nothing.
-func (e *Engine) lockResidency(id string) func() {
-	e.resMu.Lock()
-	fl := e.resFlights[id]
-	if fl == nil {
-		fl = &resFlight{mu: make(chan struct{}, 1)}
-		e.resFlights[id] = fl
-	}
-	fl.refs++
-	e.resMu.Unlock()
-	fl.mu <- struct{}{}
-	return func() {
-		<-fl.mu
-		e.resMu.Lock()
-		fl.refs--
-		if fl.refs == 0 {
-			delete(e.resFlights, id)
-		}
-		e.resMu.Unlock()
-	}
-}
-
-// waitResidency blocks until no residency transition is in flight for id —
-// the barrier Ingest uses after losing a race with an eviction, instead of
-// spinning on lookups while the evict completes.
-func (e *Engine) waitResidency(id string) {
-	e.lockResidency(id)()
-}
-
 // EvictInstance snapshots a resident instance into the cold backend and
 // releases its RAM copy. The ingest batcher is closed first, so an
-// instance is never evicted mid-batch: the close waits for the batcher
-// loop to drain, after which nothing mutates the database again. Evicting
-// an already-cold instance is a no-op; an unknown id is ErrUnknownInstance.
+// instance is never evicted mid-batch: the close applies every queued
+// write, after which nothing mutates the database again. Evicting an
+// already-cold instance is a no-op; an unknown id is ErrUnknownInstance.
 func (e *Engine) EvictInstance(id string) error {
 	if e.backend == nil {
 		return ErrNoTiering
 	}
-	// Hold the shutdown barrier across the whole eviction (blob write and
-	// WAL record): Close waits this out before its final log sync, so an
-	// acknowledged evict record can never be lost behind it.
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	release := e.lockResidency(id)
-	defer release()
-
-	sh := e.shardOf(id)
-	sh.mu.RLock()
-	in, resident := sh.instances[id]
-	_, cold := sh.cold[id]
-	sh.mu.RUnlock()
-	if !resident {
-		if cold {
+	return e.transition(id, func(in *instance, cold bool) error {
+		switch {
+		case in == nil && cold:
+			return nil
+		case in == nil:
+			return fmt.Errorf("%w %q", ErrUnknownInstance, id)
+		case in.borrowed:
+			// Evicting a borrowed copy just discards it: its authoritative
+			// state is the owning node's blob — writing ours back could
+			// clobber a newer one, and a WAL record would resurrect foreign
+			// state.
+			e.discardBorrowed(in)
 			return nil
 		}
-		return fmt.Errorf("%w %q", ErrUnknownInstance, id)
-	}
-	if in.borrowed {
-		// Evicting a borrowed copy just discards it: its authoritative state
-		// is the owning node's blob — writing ours back could clobber a
-		// newer one, and a WAL record would resurrect foreign state.
-		e.discardBorrowed(in)
-		return nil
-	}
-
-	start := time.Now()
-	// The eviction fence: no new ingests are accepted and the in-flight
-	// batch (if any) finishes applying before close returns. Ingest callers
-	// that lose this race get errInstanceClosed and retry through
-	// waitResidency + fault-in.
-	in.currentBatcher().close()
-
-	// Queries may still hold the read lock; the capture is consistent
-	// because the batcher — the only writer — is gone.
-	in.mu.RLock()
-	st := persist.InstanceState{ID: id, DB: in.db, Version: in.version, LastSeq: in.lastSeq}
-	blob, err := persist.EncodeInstanceBlob(st)
-	info := InstanceInfo{
-		ID:        id,
-		Relations: len(in.db.Relations()),
-		Tuples:    in.db.NumTuples(),
-		Version:   in.version,
-		State:     "cold",
-	}
-	bytes := in.bytes
-	in.mu.RUnlock()
-	if err == nil {
-		err = e.backend.Put(context.Background(), id, blob)
-	}
-	if err != nil {
-		e.reviveBatcher(in)
-		e.reg.Counter("engine_evict_errors_total").Inc()
-		return fmt.Errorf("evict %s: %w", id, err)
-	}
-
-	// Blob is durable; now flip the registry entry cold. The WAL record
-	// makes replay skip this instance's history (its state lives in the
-	// blob) — ordering blob-then-record means a crash between the two just
-	// leaves a stale blob that the next eviction overwrites.
-	transitioned := false
-	flip := func(uint64) {
-		sh.mu.Lock()
-		if cur, ok := sh.instances[id]; ok && cur == in {
-			delete(sh.instances, id)
-			sh.count.Add(-1)
-			sh.cold[id] = info
-			sh.coldCount.Add(1)
-			transitioned = true
+		start := time.Now()
+		// The eviction fence: ingest callers that lose this race get
+		// errInstanceClosed and retry through waitResidency + fault-in.
+		in.currentBatcher().close()
+		if err := e.toBlob(context.Background(), in.state()); err != nil {
+			e.reviveBatcher(in)
+			e.reg.Counter("engine_evict_errors_total").Inc()
+			return fmt.Errorf("evict %s: %w", id, err)
 		}
-		sh.mu.Unlock()
-	}
-	if e.log != nil {
-		if _, err := e.log.Commit(persist.Record{Op: persist.OpEvict, ID: id}, flip); err != nil {
-			if !transitioned {
-				e.reviveBatcher(in)
-				e.reg.Counter("engine_evict_errors_total").Inc()
-				return fmt.Errorf("evict %s: %w", id, err)
-			}
-			// Applied but fsync unconfirmed: the instance is cold in memory
-			// and the blob is durable, so a crash replays it resident (the
-			// evict record may be lost) — more state than acknowledged,
-			// never less. Report like other post-apply sync failures.
-			e.finishEvict(in, bytes, start)
-			return fmt.Errorf("evict %s: applied but not confirmed durable: %w", id, err)
+		// The blob is durable; now flip the registry entry cold. The WAL
+		// record makes replay skip this instance's history (its state lives
+		// in the blob) — ordering blob-then-record means a crash between the
+		// two just leaves a stale blob that the next eviction overwrites. If
+		// the record is applied but its sync fails, a crash replays the
+		// instance resident: more state than acknowledged, never less.
+		applied, err := e.retire(in, persist.Record{Op: persist.OpEvict, ID: id}, true)
+		if !applied {
+			e.reg.Counter("engine_evict_errors_total").Inc()
+			return err
 		}
-	} else {
-		flip(0)
-	}
-	if !transitioned {
-		// Lost a race with DropInstance (or Close collected the shard):
-		// nothing to release; the blob is stale and drop GC handles it.
-		return fmt.Errorf("%w %q", ErrUnknownInstance, id)
-	}
-	e.finishEvict(in, bytes, start)
-	return nil
-}
-
-// finishEvict settles accounting after a successful registry flip.
-func (e *Engine) finishEvict(in *instance, bytes int64, start time.Time) {
-	in.results.purge()
-	e.tracker.Remove(in.id)
-	e.residentBytes.Add(-bytes)
-	e.reg.Counter("engine_evictions_total").Inc()
-	e.reg.Histogram("engine_evict_seconds").Observe(time.Since(start))
-	e.updateShardGauges()
-}
-
-// reviveBatcher replaces a closed batcher on an instance that stays
-// resident after an aborted eviction. Skipped while the engine is closing:
-// Close has already collected its batcher list, and a fresh loop would
-// leak.
-func (e *Engine) reviveBatcher(in *instance) {
-	if e.closed.Load() {
-		return
-	}
-	in.mu.Lock()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
-	in.mu.Unlock()
+		e.reg.Counter("engine_evictions_total").Inc()
+		e.reg.Histogram("engine_evict_seconds").Observe(time.Since(start))
+		return err
+	})
 }
 
 // faultIn loads a cold instance's blob and installs it resident. Callers
-// arrive from lookup after seeing a cold entry; the flight mutex makes the
+// arrive from lookup after seeing a cold entry; the flight lock makes the
 // load single-flight — every concurrent caller past the first finds the
 // instance already resident and returns without touching the backend.
 func (e *Engine) faultIn(id string) error {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	release := e.lockResidency(id)
-	defer release()
-
-	sh := e.shardOf(id)
-	sh.mu.RLock()
-	_, resident := sh.instances[id]
-	_, cold := sh.cold[id]
-	sh.mu.RUnlock()
-	if resident {
-		return nil // another flight won the race; lookup retries and hits
-	}
-	if !cold {
-		return fmt.Errorf("%w %q", ErrUnknownInstance, id)
-	}
-
-	start := time.Now()
-	raw, err := e.backend.Get(context.Background(), id)
-	if err != nil {
-		e.reg.Counter("engine_faultin_errors_total").Inc()
-		if errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("fault-in %s: cold snapshot blob missing from %s: %w", id, e.backend.String(), err)
+	return e.transition(id, func(in *instance, cold bool) error {
+		if in != nil {
+			return nil // another flight won the race; lookup retries and hits
 		}
-		return fmt.Errorf("fault-in %s: %w", id, err)
-	}
-	st, err := persist.DecodeInstanceBlob(raw)
-	if err != nil {
-		e.reg.Counter("engine_faultin_errors_total").Inc()
-		return fmt.Errorf("fault-in %s: %w", id, err)
-	}
-	if st.ID != id {
-		e.reg.Counter("engine_faultin_errors_total").Inc()
-		return fmt.Errorf("fault-in %s: blob carries instance id %q", id, st.ID)
-	}
-
-	in := &instance{id: id, db: st.DB, version: st.Version, lastSeq: st.LastSeq, bytes: instanceCost(st.DB)}
-	in.results = e.newResultCache()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
-
-	installed := false
-	install := func(seq uint64) {
-		if seq > in.lastSeq {
-			in.lastSeq = seq
+		if !cold {
+			return fmt.Errorf("%w %q", ErrUnknownInstance, id)
 		}
-		sh.mu.Lock()
-		if !e.closed.Load() {
-			delete(sh.cold, id)
-			sh.coldCount.Add(-1)
-			sh.instances[id] = in
-			sh.count.Add(1)
-			installed = true
-		}
-		sh.mu.Unlock()
-	}
-	if e.log != nil {
-		// The fault-in record marks where the blob re-enters the history:
-		// replay loads it here and layers later ingest records on top.
-		if _, err := e.log.Commit(persist.Record{Op: persist.OpFaultIn, ID: id}, install); err != nil && !installed {
-			in.batcher.close()
+		start := time.Now()
+		st, err := e.loadBlob(context.Background(), id)
+		if err != nil {
 			e.reg.Counter("engine_faultin_errors_total").Inc()
+			if errors.Is(err, fs.ErrNotExist) {
+				return fmt.Errorf("fault-in %s: cold snapshot blob missing from %s: %w", id, e.backend.String(), err)
+			}
 			return fmt.Errorf("fault-in %s: %w", id, err)
 		}
-		// An applied-but-unsynced fault-in record is benign on its own: if
-		// it is lost, replay leaves the instance cold and the blob still
-		// covers it. Any later acknowledged ingest on this shard fsyncs
-		// behind it, making it durable before it matters.
-	} else {
-		install(0)
-	}
-	if !installed {
-		in.batcher.close()
-		return ErrClosed
-	}
-	in.mu.RLock()
-	bytes := in.bytes
-	in.mu.RUnlock()
-	e.tracker.Add(id, bytes, time.Now())
-	e.residentBytes.Add(bytes)
-	e.reg.Counter("engine_faultins_total").Inc()
-	e.reg.Histogram("engine_faultin_seconds").Observe(time.Since(start))
-	e.updateShardGauges()
-	return nil
+		in = e.newInstance(st, false)
+		// The fault-in record marks where the blob re-enters the history:
+		// replay loads it here and layers later ingest records on top. An
+		// applied-but-unsynced fault-in record is benign on its own: if it
+		// is lost, replay leaves the instance cold and the blob still covers
+		// it. Any later acknowledged ingest on this shard fsyncs behind it,
+		// making it durable before it matters.
+		applied, err := e.commit(persist.Record{Op: persist.OpFaultIn, ID: id}, func(seq uint64) {
+			in.lastSeq = max(in.lastSeq, seq)
+			e.link(in)
+		})
+		if !applied {
+			in.batcher.close()
+			e.reg.Counter("engine_faultin_errors_total").Inc()
+			return err
+		}
+		e.reg.Counter("engine_faultins_total").Inc()
+		e.reg.Histogram("engine_faultin_seconds").Observe(time.Since(start))
+		return nil
+	})
 }
 
 // EnforceResidency runs one janitor pass: ask the tracker for LRU victims
@@ -375,14 +202,13 @@ func (e *Engine) AdoptCold(ctx context.Context, owns func(id string) bool) error
 			dropped[id] = true
 		}
 	}
-	var maxID uint64
 	for _, id := range ids {
 		// The id-counter bump looks at every listed blob, owned or not:
 		// generated ids must not collide with any instance in a shared
-		// bucket, whoever owns it.
-		if n := numericInstanceID(id); n > maxID {
-			maxID = n
-		}
+		// bucket, whoever owns it — including ids that exist only as blobs
+		// (orphaned from a wiped data dir, or an object store shared across
+		// rebuilds).
+		e.raiseNextID(numericInstanceID(id))
 		if owns != nil && !owns(id) {
 			continue
 		}
@@ -394,25 +220,9 @@ func (e *Engine) AdoptCold(ctx context.Context, owns func(id string) bool) error
 			}
 			continue
 		}
-		sh := e.shardOf(id)
-		sh.mu.Lock()
-		_, resident := sh.instances[id]
-		_, cold := sh.cold[id]
-		if !resident && !cold {
-			// Boot-discovered entry: tuple/relation counts unknown until
-			// first fault-in (listing must not load blobs).
-			sh.cold[id] = InstanceInfo{ID: id, State: "cold"}
-			sh.coldCount.Add(1)
-		}
-		sh.mu.Unlock()
-	}
-	// Ids that exist only as blobs (orphaned from a wiped data dir, or an
-	// object store shared across rebuilds) must not be reissued to creates.
-	for {
-		cur := e.nextID.Load()
-		if maxID <= cur || e.nextID.CompareAndSwap(cur, maxID) {
-			break
-		}
+		// Boot-discovered entry: tuple/relation counts unknown until first
+		// fault-in (listing must not load blobs).
+		e.addCold(InstanceInfo{ID: id, State: "cold"})
 	}
 	e.updateShardGauges()
 	return nil

@@ -11,13 +11,13 @@ import (
 )
 
 // TestResultCacheHitAndInvalidation pins the acceptance contract of the
-// ablation path (maintenance off): a repeat query at an unchanged
-// generation is a hit serving the identical materialization; an ingest
-// bumps the generation and invalidates; and the result served after
-// invalidation is byte-identical to a cold evaluation of the same facts.
-// The maintained path is pinned by maintain_test.go.
+// invalidation path: a repeat query at an unchanged generation is a hit
+// serving the identical materialization; an ingest that overwrites a
+// tuple's tag bumps the generation and invalidates; and the result served
+// after invalidation is byte-identical to a cold evaluation of the same
+// facts. The maintained path is pinned by maintain_test.go.
 func TestResultCacheHitAndInvalidation(t *testing.T) {
-	e := New(Config{Workers: 4, CacheSize: 8, DisableResultMaintenance: true})
+	e := New(Config{Workers: 4, CacheSize: 8})
 	t.Cleanup(e.Close)
 	id := mustCreate(t, e, paperInstance)
 	u := query.MustParseUnion(paperQuery)
@@ -44,8 +44,9 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 		t.Fatalf("generation moved without ingest: %d -> %d", out1.Version, out2.Version)
 	}
 
-	// Ingest bumps the generation; the stale entry must not be served.
-	if err := e.Ingest(id, []Fact{{Rel: "R", Tag: "r4", Values: []string{"b", "b"}}}); err != nil {
+	// Retagging R(a,a) is a mutation, not an insertion: the ingest bumps
+	// the generation and the stale entry must not be served.
+	if err := e.Ingest(id, []Fact{{Rel: "R", Tag: "r4", Values: []string{"a", "a"}}}); err != nil {
 		t.Fatal(err)
 	}
 	out3, err := e.Query(ctx, id, u)
@@ -72,7 +73,7 @@ func TestResultCacheHitAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.MustAdd("R", "r4", "b", "b")
+	d.MustAdd("R", "r4", "a", "a")
 	cold, err := eval.EvalUCQ(u, d)
 	if err != nil {
 		t.Fatal(err)

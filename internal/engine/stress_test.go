@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"provmin/internal/persist"
 	"provmin/internal/query"
 )
 
@@ -165,6 +168,57 @@ func TestIngestRacingDrop(t *testing.T) {
 		case <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("round %d: ingest or close hung", round)
+		}
+	}
+}
+
+// TestDurableIngestRacingDrop races writers against one durable drop. The
+// drop fences the ingest batcher before its record is committed, so no
+// write can be applied, logged or counted after it: resident bytes return
+// to zero, and a reopened log ends the id's history with the drop. Once
+// the engine is closed, a drop is refused with ErrClosed.
+func TestDurableIngestRacingDrop(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		dir := t.TempDir()
+		l, err := persist.Open(persist.Options{Dir: dir, Shards: 1, Sync: persist.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(Config{Workers: 2, IngestBatchSize: 4, Persist: l})
+		id := mustCreate(t, e, "")
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					v := fmt.Sprintf("g%d_%d", g, i)
+					// Applied before the drop, or refused: both are fine.
+					_ = e.Ingest(id, []Fact{{Rel: "R", Tag: v, Values: []string{v}}})
+				}
+			}(g)
+		}
+		dropped, err := e.DropInstance(id)
+		wg.Wait()
+		if !dropped || err != nil {
+			t.Fatalf("round %d: drop = (%t, %v), want (true, nil)", round, dropped, err)
+		}
+		if b := e.Residency().ResidentBytes; b != 0 {
+			t.Errorf("round %d: resident bytes after drop = %d, want 0", round, b)
+		}
+		e.Close()
+		if _, err := e.DropInstance(id); !errors.Is(err, ErrClosed) {
+			t.Errorf("round %d: drop after close = %v, want ErrClosed", round, err)
+		}
+		l2, err := persist.Open(persist.Options{Dir: dir, Shards: 1, Sync: persist.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l2.DroppedIDs(); !slices.Contains(got, id) {
+			t.Errorf("round %d: reopened log's dropped ids = %v, want %s among them", round, got, id)
+		}
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

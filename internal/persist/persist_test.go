@@ -31,7 +31,7 @@ func commitT(t *testing.T, l *Log, rec Record) uint64 {
 	return seq
 }
 
-func findRecovered(l *Log, id string) *RecoveredInstance {
+func findRecovered(l *Log, id string) *InstanceState {
 	for i := range l.recovered {
 		if l.recovered[i].ID == id {
 			return &l.recovered[i]
@@ -148,12 +148,12 @@ func TestCorruptMiddleStopsReplayAtCrc(t *testing.T) {
 func TestSnapshotCompactReplay(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, 2)
-	state := map[string]*RecoveredInstance{}
+	state := map[string]*InstanceState{}
 	apply := func(rec Record) {
 		if _, err := l.Commit(rec, nil); err != nil {
 			t.Fatal(err)
 		}
-		m := map[string]*RecoveredInstance{}
+		m := map[string]*InstanceState{}
 		for k, v := range state {
 			m[k] = v
 		}

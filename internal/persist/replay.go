@@ -18,14 +18,6 @@ import (
 	"provmin/internal/store"
 )
 
-// RecoveredInstance is one instance reconstructed from snapshot + WAL.
-type RecoveredInstance struct {
-	ID      string
-	DB      *db.Instance
-	Version uint64 // engine instance version: one increment per ingest batch
-	LastSeq uint64 // last WAL sequence applied to DB
-}
-
 var instanceIDPat = regexp.MustCompile(`^i(\d+)$`)
 
 // replay loads every snapshot and WAL file in the directory — regardless
@@ -34,7 +26,7 @@ var instanceIDPat = regexp.MustCompile(`^i(\d+)$`)
 // rewritten (stripe count changed).
 func (l *Log) replay() (reshard bool, err error) {
 	start := time.Now()
-	insts := map[string]*RecoveredInstance{}
+	insts := map[string]*InstanceState{}
 
 	snaps, err := filepath.Glob(filepath.Join(l.opts.Dir, "shard-*.snap"))
 	if err != nil {
@@ -160,7 +152,7 @@ func (l *Log) replay() (reshard bool, err error) {
 
 	l.seq.Store(maxSeq)
 	l.bumpNextID(maxID)
-	l.recovered = make([]RecoveredInstance, 0, len(insts))
+	l.recovered = make([]InstanceState, 0, len(insts))
 	for _, in := range insts {
 		l.recovered = append(l.recovered, *in)
 	}
@@ -177,7 +169,7 @@ func (l *Log) replay() (reshard bool, err error) {
 // applyRecord folds one WAL record into the recovered instance set. A
 // record whose seq is not above the instance's LastSeq is already covered
 // by a snapshot and skipped — replay is idempotent.
-func applyRecord(rec *Record, insts map[string]*RecoveredInstance) error {
+func applyRecord(rec *Record, insts map[string]*InstanceState) error {
 	switch rec.Op {
 	case OpCreate:
 		if in, ok := insts[rec.ID]; ok && in.LastSeq >= rec.Seq {
@@ -191,7 +183,7 @@ func applyRecord(rec *Record, insts map[string]*RecoveredInstance) error {
 			}
 			d = parsed
 		}
-		insts[rec.ID] = &RecoveredInstance{ID: rec.ID, DB: d, LastSeq: rec.Seq}
+		insts[rec.ID] = &InstanceState{ID: rec.ID, DB: d, LastSeq: rec.Seq}
 	case OpIngest:
 		in, ok := insts[rec.ID]
 		if !ok || in.LastSeq >= rec.Seq {
@@ -237,7 +229,7 @@ var errReplayFatal = errors.New("persist: fatal replay error")
 // The blob may be newer than this record (a later evict overwrote it); its
 // LastSeq then skips the intermediate records it already covers, which is
 // exactly the snapshot idempotency rule.
-func (l *Log) applyFaultIn(rec *Record, insts map[string]*RecoveredInstance) error {
+func (l *Log) applyFaultIn(rec *Record, insts map[string]*InstanceState) error {
 	if in, ok := insts[rec.ID]; ok && in.LastSeq >= rec.Seq {
 		return nil
 	}
@@ -262,7 +254,7 @@ func (l *Log) applyFaultIn(rec *Record, insts map[string]*RecoveredInstance) err
 	if rec.Seq > lastSeq {
 		lastSeq = rec.Seq
 	}
-	insts[rec.ID] = &RecoveredInstance{ID: rec.ID, DB: st.DB, Version: st.Version, LastSeq: lastSeq}
+	insts[rec.ID] = &InstanceState{ID: rec.ID, DB: st.DB, Version: st.Version, LastSeq: lastSeq}
 	return nil
 }
 
@@ -280,7 +272,7 @@ func ApplyFact(d *db.Instance, f Fact) error {
 
 // loadSnapshot folds one shard snapshot file into insts. The file is a
 // JSON-lines stream: a header, then one store Envelope (v2) per instance.
-func (l *Log) loadSnapshot(path string, insts map[string]*RecoveredInstance) error {
+func (l *Log) loadSnapshot(path string, insts map[string]*InstanceState) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("persist: open snapshot %s: %w", path, err)
@@ -326,7 +318,7 @@ func (l *Log) loadSnapshot(path string, insts map[string]*RecoveredInstance) err
 		// Later snapshot generations win; WAL records beyond LastSeq are
 		// layered on afterwards.
 		if prev, ok := insts[env.Instance]; !ok || env.LastSeq >= prev.LastSeq {
-			insts[env.Instance] = &RecoveredInstance{
+			insts[env.Instance] = &InstanceState{
 				ID:      env.Instance,
 				DB:      d,
 				Version: env.InstanceVersion,

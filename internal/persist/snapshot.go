@@ -27,14 +27,15 @@ type snapshotHeader struct {
 	Instances int    `json:"instances"`
 }
 
-// InstanceState is one instance captured for a snapshot: a deep copy (or
-// otherwise immutable view) of its database plus the version and WAL
-// position the copy reflects.
+// InstanceState is one instance's database plus the generation and WAL
+// position the database reflects: a snapshot line, a cold blob, or an
+// instance recovered at Open. A state captured for a snapshot or a blob
+// holds a deep copy (or otherwise immutable view) of the database.
 type InstanceState struct {
 	ID      string
 	DB      *db.Instance
-	Version uint64
-	LastSeq uint64
+	Version uint64 // engine instance generation: one increment per ingest batch
+	LastSeq uint64 // last WAL sequence applied to DB
 }
 
 // EncodeInstanceBlob renders one instance as a standalone cold-snapshot
@@ -204,7 +205,7 @@ func (l *Log) rewriteAll() error {
 	byShard := make([][]InstanceState, len(l.shards))
 	for _, in := range l.recovered {
 		k := ShardFor(in.ID, len(l.shards))
-		byShard[k] = append(byShard[k], InstanceState{ID: in.ID, DB: in.DB, Version: in.Version, LastSeq: in.LastSeq})
+		byShard[k] = append(byShard[k], in)
 	}
 	for k := range l.shards {
 		if _, err := l.writeShardSnapshot(k, byShard[k]); err != nil {

@@ -158,7 +158,7 @@ type Log struct {
 	seq    atomic.Uint64 // last assigned sequence number, global
 	nextID atomic.Uint64 // high-water instance-id counter (recovered + runtime creates)
 
-	recovered []RecoveredInstance
+	recovered []InstanceState
 	dropped   []string // ids whose final replayed op was OpDrop, for blob GC
 	seqFloor  uint64   // snapshot-header seq floor seen during replay
 
@@ -286,12 +286,12 @@ func (l *Log) bumpNextID(n uint64) {
 
 // Recovered returns the instances reconstructed at Open, sorted by id —
 // for inspection and logging. The engine adopts them via TakeRecovered.
-func (l *Log) Recovered() []RecoveredInstance { return l.recovered }
+func (l *Log) Recovered() []InstanceState { return l.recovered }
 
 // TakeRecovered returns the recovered instances and releases the log's
 // references to them, so adopted databases can be garbage-collected once
 // the engine drops them.
-func (l *Log) TakeRecovered() []RecoveredInstance {
+func (l *Log) TakeRecovered() []InstanceState {
 	r := l.recovered
 	l.recovered = nil
 	return r
