@@ -81,7 +81,7 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8411", "listen address")
-		workers       = flag.Int("workers", 0, "evaluation worker count (0 = GOMAXPROCS)")
+		workers       = flag.Int("workers", 0, "evaluations that may run at once (0 = GOMAXPROCS)")
 		evalParallel  = flag.Int("eval-parallel", 0, "parallel hash-join probe workers (0 = GOMAXPROCS, 1 = sequential)")
 		cacheSize     = flag.Int("cache", 1024, "minimized-query LRU cache entries")
 		resCacheSize  = flag.Int("result-cache-size", 128, "result-cache entries per instance (0 disables result caching)")

@@ -11,8 +11,8 @@ import (
 // This file exposes the service layer: the concurrent evaluation engine
 // behind the provmind server, usable in-process. The one-shot functions of
 // provmin.go evaluate a query and return; an Engine is long-lived — it
-// hosts named instances behind read-write locks, bounds concurrent
-// evaluations with a worker pool, batches tuple ingest, and caches
+// hosts named instances behind read-write locks, bounds how many
+// evaluations run at once, batches tuple ingest, and caches
 // p-minimal query forms in an LRU so repeated core-provenance requests
 // skip MinProv entirely.
 
@@ -31,8 +31,7 @@ type (
 	MetricsRegistry = metrics.Registry
 )
 
-// NewEngine creates a service engine and starts its worker pool. Call
-// Close when done.
+// NewEngine creates a service engine. Call Close when done.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // NewServerHandler wraps an engine in the provmind HTTP API (the handler

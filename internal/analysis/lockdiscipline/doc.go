@@ -6,7 +6,7 @@
 // The engine's locks form a strict hierarchy, documented in the
 // internal/engine package comment:
 //
-//	closeMu (1) -> registry shard mu (2) -> instance mu (3) -> batcher addMu (4)
+//	closeMu (1) -> registry shard mu (2) -> instance mu (3) -> batcher mu (4)
 //
 // A goroutine may only acquire a lock whose level is strictly greater
 // than every lock it already holds. Acquiring downward (or re-acquiring

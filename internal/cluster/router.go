@@ -35,6 +35,10 @@ const (
 	HeaderCache = "X-Provmind-Cache"
 	// HeaderNode names the node that served (or would serve) the request.
 	HeaderNode = "X-Provmind-Node"
+	// HeaderVia carries the id prefix of the router that forwarded a
+	// request. Routers forward only to nodes, so a router that receives it
+	// is listed in its own peers and answers 508 instead of looping.
+	HeaderVia = "X-Provmind-Via"
 )
 
 // StaleRingError reports a ring-version mismatch between a request and the
@@ -178,7 +182,7 @@ func (rt *Router) routes() {
 }
 
 // route wraps a handler with request metrics, the ring-version response
-// header, and the stale-ring request check.
+// header, the stale-ring request check and the forwarding-loop check.
 func (rt *Router) route(pattern string, h func(w http.ResponseWriter, r *http.Request) error) {
 	reqs := rt.reg.Counter("router_requests_total")
 	errs := rt.reg.Counter("router_errors_total")
@@ -189,6 +193,9 @@ func (rt *Router) route(pattern string, h func(w http.ResponseWriter, r *http.Re
 		reqs.Inc()
 		w.Header().Set(HeaderRing, strconv.FormatUint(version, 10))
 		err := CheckRing(r, version)
+		if via := r.Header.Get(HeaderVia); via != "" {
+			err = &routerError{http.StatusLoopDetected, "request already forwarded by router " + via + ": a router is listed among the nodes"}
+		}
 		if err == nil {
 			err = h(w, r)
 		}
@@ -243,6 +250,7 @@ func (rt *Router) forward(ctx context.Context, node, method, path string, body [
 		req.Header.Set("Content-Type", "application/json")
 	}
 	req.Header.Set(HeaderRing, strconv.FormatUint(rt.topo.Ring().Version(), 10))
+	req.Header.Set(HeaderVia, rt.idPrefix)
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		if ctx.Err() == nil {

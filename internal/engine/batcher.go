@@ -19,128 +19,151 @@ type Fact = persist.Fact
 // ingestBatcher coalesces concurrent tuple ingests into one write-lock
 // acquisition. Every Instance write invalidates the relation's column
 // indexes and contends with readers, so it pays to apply several requests
-// in a single critical section. The batching is self-clocking group
-// commit: the loop blocks until one request arrives, takes whatever else
-// is already queued behind it without waiting (up to batchSize facts) and
-// flushes at once. Requests that arrive during a flush form the next
-// batch, so batches grow with load while an idle instance never waits.
-// When the engine is durable, one batch is also one WAL record and one
-// (group-shared) fsync — the fsync batching piggybacks on the ingest
-// batching. Callers block until their facts are durably applied, so the
-// batching is invisible except in throughput.
+// in a single critical section. The batching is writer-led group commit:
+// the caller whose request reaches the front of the queue flushes it on
+// its own goroutine, together with the requests queued behind it (see
+// lead), so batches grow with load while a write to an idle instance is
+// applied at once. When the engine is durable, one batch is also one WAL
+// record and one (group-shared) fsync. Callers block until their facts
+// are durably applied, so the batching is invisible except in throughput.
 type ingestBatcher struct {
 	eng       *Engine
 	inst      *instance
 	batchSize int
 
-	in        chan *ingestReq
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
-
-	// addMu/adders/stopped fence add against close: an add either observes
-	// stopped and fails before sending, or registers in adders so close
-	// waits for its send to land before stopping the loop. The loop's final
-	// drain therefore observes every queued request, and every caller gets
-	// exactly one response — the previous non-blocking resp check could
-	// race a request into the channel buffer after the final drain and
-	// silently strand it.
-	addMu   sync.Mutex //provlint:lockorder 4
-	adders  sync.WaitGroup
-	stopped bool
+	// mu guards queue (every request not yet flushed, in arrival order; the
+	// front batch stays queued until its flush is done) and closed, which
+	// refuses new adds. close waits on drained for the queue to empty.
+	mu      sync.Mutex //provlint:lockorder 4
+	queue   []*ingestReq
+	closed  bool
+	drained sync.Cond
 }
 
-// errInstanceClosed rejects adds that arrive at (or after) close.
-var errInstanceClosed = errors.New("engine: instance closed")
+var (
+	// errInstanceClosed rejects adds that arrive at (or after) close.
+	errInstanceClosed = errors.New("engine: instance closed")
+	// errLead, sent on a request's resp, is not an outcome but a turn to lead.
+	errLead = errors.New("engine: lead the next flush")
+	// errFlushPanicked fails the requests of a batch whose flush panicked.
+	errFlushPanicked = errors.New("engine: ingest flush panicked; write not applied")
+)
 
 type ingestReq struct {
 	facts []Fact
-	resp  chan error
+	// resp never holds two values, so no send on it blocks: the lead comes
+	// at most once, and is taken before the flush that sends the outcome.
+	resp chan error
 }
 
 func newIngestBatcher(eng *Engine, inst *instance, batchSize int) *ingestBatcher {
 	if batchSize < 1 {
 		batchSize = 256
 	}
-	b := &ingestBatcher{
-		eng:       eng,
-		inst:      inst,
-		batchSize: batchSize,
-		in:        make(chan *ingestReq, 64),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	go b.loop()
+	b := &ingestBatcher{eng: eng, inst: inst, batchSize: batchSize}
+	b.drained.L = &b.mu
 	return b
 }
 
-// add enqueues a group of facts and blocks until the batch containing them
+// add queues a group of facts and blocks until the batch containing them
 // has been applied. All facts of one call are applied atomically with
 // respect to queries (they land inside one write-lock hold). Exactly one
 // outcome is delivered per call: errInstanceClosed means the facts were
-// never enqueued; any other return came from the flush that owned the
+// never queued; any other return came from the flush that owned the
 // request — so an error is never lost and never delivered twice, even when
 // close runs concurrently.
 func (b *ingestBatcher) add(facts []Fact) error {
-	b.addMu.Lock()
-	if b.stopped {
-		b.addMu.Unlock()
+	req := &ingestReq{facts: facts, resp: make(chan error, 1)}
+	if err := b.enqueue(req); err != nil {
+		return err
+	}
+	return b.wait(req)
+}
+
+// enqueue queues req unless the batcher is closed; a request that arrives
+// at an empty queue gets the lead token at once.
+func (b *ingestBatcher) enqueue(req *ingestReq) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
 		return errInstanceClosed
 	}
-	b.adders.Add(1)
-	b.addMu.Unlock()
-	req := &ingestReq{facts: facts, resp: make(chan error, 1)}
-	b.in <- req // the loop drains b.in until close's adders.Wait returns
-	b.adders.Done()
+	b.queue = append(b.queue, req)
+	if len(b.queue) == 1 {
+		req.resp <- errLead
+	}
+	return nil
+}
+
+// wait returns req's outcome, leading the flush of req's batch if req
+// reaches the front before another leader has flushed it.
+func (b *ingestBatcher) wait(req *ingestReq) error {
+	if err := <-req.resp; !errors.Is(err, errLead) {
+		return err
+	}
+	b.lead()
 	return <-req.resp
 }
 
-// close fences out new adds, waits for in-flight sends to land in the
-// channel, then stops the loop; its final drain serves every queued
-// request. Safe for concurrent callers (Engine.Close racing DropInstance).
-func (b *ingestBatcher) close() {
-	b.closeOnce.Do(func() {
-		b.addMu.Lock()
-		b.stopped = true
-		b.addMu.Unlock()
-		b.adders.Wait()
-		close(b.stop)
-	})
-	<-b.done
-}
-
-func (b *ingestBatcher) loop() {
-	defer close(b.done)
-	for {
-		select {
-		case req := <-b.in:
-			b.flush(b.take(req))
-		case <-b.stop:
-			// close has fenced out new adds and waited for in-flight sends,
-			// so b.in holds every request that will ever arrive, and this
-			// loop is its only receiver: serve them all, then exit.
-			for len(b.in) > 0 {
-				b.flush(b.take(<-b.in))
+// lead flushes the front request plus those queued behind it, up to
+// batchSize facts and never waiting for more, then hands the lead on. A
+// panicking flush still hands it on: its batch's unanswered requests
+// fail, and the panic goes up the leader.
+func (b *ingestBatcher) lead() {
+	b.mu.Lock()
+	n, pending := 1, len(b.queue[0].facts)
+	for ; n < len(b.queue) && pending < b.batchSize; n++ {
+		pending += len(b.queue[n].facts)
+	}
+	batch := b.queue[:n:n]
+	b.mu.Unlock()
+	flushed := false
+	defer func() {
+		if !flushed {
+			for _, req := range batch {
+				select {
+				case req.resp <- errFlushPanicked:
+				default: // the flush answered it
+				}
 			}
-			return
 		}
+		b.handOn(n)
+	}()
+	b.flush(batch)
+	flushed = true
+}
+
+// handOn dequeues the n requests of a flushed batch and hands the lead to
+// the new front, or wakes close once the queue is empty.
+func (b *ingestBatcher) handOn(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	clear(b.queue[:n])
+	b.queue = b.queue[n:]
+	if len(b.queue) > 0 {
+		b.queue[0].resp <- errLead
+	} else {
+		b.drained.Broadcast()
 	}
 }
 
-// take returns first plus the requests already queued behind it, stopping
-// once the batch holds batchSize facts. It never waits for more.
-func (b *ingestBatcher) take(first *ingestReq) []*ingestReq {
-	batch := []*ingestReq{first}
-	for pending := len(first.facts); pending < b.batchSize; {
-		select {
-		case req := <-b.in:
-			batch = append(batch, req)
-			pending += len(req.facts)
-		default:
-			return batch
-		}
+// close refuses new adds and returns once every queued request has been
+// flushed: the write fence of a removal. Safe for concurrent and repeated
+// callers (Engine.Close racing DropInstance).
+func (b *ingestBatcher) close() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	for len(b.queue) > 0 {
+		b.drained.Wait()
 	}
-	return batch
+}
+
+// reopen accepts adds again after a removal that was not applied.
+func (b *ingestBatcher) reopen() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = false
 }
 
 // flush validates every request, write-ahead-logs the valid ones as a
@@ -162,7 +185,7 @@ func (b *ingestBatcher) flush(batch []*ingestReq) {
 		// computed here and written into the WAL record, so replay restores
 		// the exact generation every acknowledged batch produced (and with
 		// it, result-cache correctness across crashes). Reading version
-		// outside the lock is safe: this loop is the instance's only writer.
+		// outside the lock is safe: the leader is the instance's only writer.
 		b.inst.mu.RLock()
 		gen := b.inst.version + 1
 		b.inst.mu.RUnlock()
@@ -237,7 +260,7 @@ func (b *ingestBatcher) flush(batch []*ingestReq) {
 				// Distinct values interned (and sketch updates absorbed) by
 				// ingest, across all instances — the growth side of the
 				// cardinality statistics the join planner reads.
-				b.eng.reg.Counter("engine_interned_symbols_total").Add(int64(newSymbols))
+				b.eng.met.internedSymbols.Add(int64(newSymbols))
 			}
 			if len(plan) > 0 {
 				b.maintain(plan, gen, oldLen)
@@ -255,8 +278,8 @@ func (b *ingestBatcher) flush(batch []*ingestReq) {
 // maintain promotes every surviving cached entry across the batch it just
 // applied: the delta rules are evaluated over the inserted row suffixes and
 // merged into a copy of each cached result, restamping it to gen. It runs
-// in the batcher goroutine between applying a batch and acknowledging it —
-// this loop is the instance's only writer, so under the read lock the
+// in the leader's flush between applying a batch and acknowledging it —
+// the leader is the instance's only writer, so under the read lock the
 // database is exactly the state generation gen names, and once add returns
 // to a caller the cache has already been promoted (no window where a
 // follow-up query pays a cold re-evaluation). Concurrent readers that miss
@@ -280,8 +303,8 @@ func (b *ingestBatcher) maintain(plan []maintainTask, gen uint64, oldLen map[str
 }
 
 // validate checks every request's facts against the instance schema before
-// anything is logged or applied. The batcher goroutine is the only writer,
-// but validation still takes the read lock so it composes with any future
+// anything is logged or applied. The leader is the only writer, but
+// validation still takes the read lock so it composes with any future
 // writer. Relations a valid earlier request would create are visible to
 // later requests in the same batch (pending arities); a rejected request
 // contributes nothing.

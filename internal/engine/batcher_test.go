@@ -96,11 +96,11 @@ func TestBatcherCloseAddRace(t *testing.T) {
 	}
 }
 
-// TestBatcherTakesQueuedRequests pins the self-clocking contract: when the
-// loop takes a request, the requests already queued behind it go into the
-// same flush, up to batchSize facts, and the loop never waits for more.
-// Every request is queued before the loop starts, so the batches are
-// deterministic, and each shows as one generation bump.
+// TestBatcherTakesQueuedRequests pins the self-clocking contract: when a
+// caller leads a flush, the requests already queued behind its own go into
+// the same flush, up to batchSize facts, and the leader never waits for
+// more. Every request is queued before any caller leads, so the batches
+// are deterministic, and each shows as one generation bump.
 func TestBatcherTakesQueuedRequests(t *testing.T) {
 	for _, tc := range []struct {
 		batchSize, reqs int
@@ -111,31 +111,24 @@ func TestBatcherTakesQueuedRequests(t *testing.T) {
 		{batchSize: 1, reqs: 3, wantGen: 3},
 	} {
 		t.Run(fmt.Sprintf("cap%d/reqs%d", tc.batchSize, tc.reqs), func(t *testing.T) {
-			e := New(Config{Workers: 2})
+			e := New(Config{Workers: 2, IngestBatchSize: tc.batchSize})
 			t.Cleanup(e.Close)
 			in, err := e.lookup(mustCreate(t, e, ""))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A second batcher on the instance, built without its loop. The
-			// instance's own batcher gets no requests, so this one is the
-			// only writer.
-			b := &ingestBatcher{
-				eng: e, inst: in, batchSize: tc.batchSize,
-				in:   make(chan *ingestReq, tc.reqs),
-				stop: make(chan struct{}),
-				done: make(chan struct{}),
-			}
 			reqs := make([]*ingestReq, tc.reqs)
 			for i := range reqs {
 				v := fmt.Sprintf("v%d", i)
 				reqs[i] = &ingestReq{facts: []Fact{{Rel: "R", Tag: "t" + v, Values: []string{v}}}, resp: make(chan error, 1)}
-				b.in <- reqs[i]
+				if err := in.batcher.enqueue(reqs[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			go b.loop()
-			defer b.close()
+			// Waiting in arrival order makes each batch's front request its
+			// leader; the rest of its batch already hold their outcomes.
 			for i, req := range reqs {
-				if err := <-req.resp; err != nil {
+				if err := in.batcher.wait(req); err != nil {
 					t.Fatalf("request %d: %v", i, err)
 				}
 			}
@@ -148,5 +141,52 @@ func TestBatcherTakesQueuedRequests(t *testing.T) {
 				t.Fatalf("generation %d, want %d (one per flushed batch)", in.version, tc.wantGen)
 			}
 		})
+	}
+}
+
+// TestBatcherFlushPanicHandsOn pins what a panicking flush leaves behind:
+// the leader's own goroutine carries the panic, every other request of its
+// batch fails instead of hanging, and the batcher keeps working — the next
+// add leads a flush of its own, and close still returns.
+func TestBatcherFlushPanicHandsOn(t *testing.T) {
+	e := New(Config{Workers: 2})
+	t.Cleanup(e.Close)
+	in, err := e.lookup(mustCreate(t, e, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.mu.Lock()
+	saved := in.db
+	in.db = nil // validate dereferences it
+	in.mu.Unlock()
+	front := &ingestReq{facts: []Fact{{Rel: "R", Tag: "f", Values: []string{"f"}}}, resp: make(chan error, 1)}
+	behind := &ingestReq{facts: []Fact{{Rel: "R", Tag: "b", Values: []string{"b"}}}, resp: make(chan error, 1)}
+	for _, req := range []*ingestReq{front, behind} {
+		if err := in.batcher.enqueue(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("front caller returned; want its flush's panic")
+			}
+		}()
+		_ = in.batcher.wait(front)
+	}()
+	if err := in.batcher.wait(behind); !errors.Is(err, errFlushPanicked) {
+		t.Fatalf("request behind the panicking leader: %v, want errFlushPanicked", err)
+	}
+	in.mu.Lock()
+	in.db = saved
+	in.mu.Unlock()
+	if err := in.batcher.add([]Fact{{Rel: "R", Tag: "after", Values: []string{"a"}}}); err != nil {
+		t.Fatalf("add after the panic: %v", err)
+	}
+	in.batcher.close()
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if rel := in.db.Lookup("R"); rel == nil || rel.Len() != 1 || in.version != 1 {
+		t.Fatalf("after the panic: %v at generation %d, want only the later fact at generation 1", in.db, in.version)
 	}
 }

@@ -6,13 +6,13 @@
 //     on different instances contend only within a stripe — each instance
 //     guarded by a read-write lock so queries run in parallel with each
 //     other and serialize only against ingest;
-//   - a fixed-size worker pool bounding concurrent evaluations;
+//   - a bound of Config.Workers evaluations running at once;
 //   - a per-instance ingest batcher that coalesces concurrent tuple
 //     writes into single write-lock acquisitions (and, when durability is
 //     on, single WAL records sharing group-commit fsyncs). It is
-//     self-clocking: each flush takes the writes that queued while the
-//     previous one ran, so a write to an idle instance is applied at once
-//     and batches grow only with load;
+//     writer-led: the caller at the front of the queue flushes the writes
+//     queued behind it on its own goroutine, so a write to an idle
+//     instance is applied at once and batches grow only with load;
 //   - an LRU cache from canonical query forms to their p-minimal
 //     equivalents (MinProv output), so repeated core-provenance requests
 //     skip Algorithm 1 — the worst-case-exponential step — entirely;
@@ -27,17 +27,18 @@
 // The engine's locks form a strict hierarchy; a goroutine only acquires
 // a lock that comes after every lock it already holds:
 //
-//	closeMu -> flight lock -> WAL stripe -> shard mu -> instance mu -> batcher addMu
+//	closeMu -> flight lock -> WAL stripe -> shard mu -> instance mu -> batcher mu
 //
 // closeMu is the close barrier (every registry transition holds its read
 // side, Close the write side); the flight lock, one per instance id,
 // serializes the transitions of that id; the WAL stripe mutex (in
 // internal/persist) is held while a commit applies its record; the shard
 // mutex guards one registry stripe's instance maps; the instance lock
-// serializes ingest against queries on one instance; addMu is the
-// batcher's shutdown fence. Only transition (registry.go) holds closeMu's
-// read side and a flight lock (waitResidency takes one only to wait it
-// out), and only commit writes the log. The four mutex fields carry
+// serializes ingest against queries on one instance; the batcher mutex
+// guards its queue and is never held across a flush. Only transition
+// (registry.go) holds closeMu's read side and a flight lock
+// (waitResidency takes one only to wait it out), and only commit writes
+// the log. The four mutex fields carry
 // //provlint:lockorder levels 1–4, and the provlint lockdiscipline
 // analyzer (see internal/analysis/lockdiscipline) rejects out-of-order
 // acquisition of them at build time in CI.
@@ -47,6 +48,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,7 +70,7 @@ import (
 
 // Config tunes a new Engine. Zero values select sensible defaults.
 type Config struct {
-	// Workers is the evaluation worker-pool size (default GOMAXPROCS).
+	// Workers bounds the evaluations running at once (default GOMAXPROCS).
 	Workers int
 	// Eval configures the hash join's parallel probe for every query and
 	// core computation. The zero value fans large joins out across
@@ -174,7 +176,8 @@ type Engine struct {
 	pool     *pool
 	cache    *minCache
 	resStats *resultCacheStats // shared by every instance's result cache
-	log      *persist.Log      // nil when running ephemeral
+	met      engineMetrics
+	log      *persist.Log // nil when running ephemeral
 
 	shards []*regShard
 	nextID atomic.Uint64
@@ -245,7 +248,7 @@ type instance struct {
 	borrowed bool
 
 	//provlint:lockorder 3
-	mu      sync.RWMutex // guards db, version, lastSeq, bytes and batcher
+	mu      sync.RWMutex // guards db, version, lastSeq and bytes
 	db      *db.Instance
 	version uint64 // generation counter: bumped on every applied ingest batch
 	lastSeq uint64 // last WAL sequence applied (0 when ephemeral)
@@ -255,20 +258,59 @@ type instance struct {
 	results *resultCache // generation-stamped evaluated results
 }
 
-// currentBatcher reads the batcher under the instance lock: an aborted
-// removal replaces a closed batcher with a fresh one (reviveBatcher), so
-// the field is no longer immutable after construction.
-func (in *instance) currentBatcher() *ingestBatcher {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.batcher
+// engineMetrics holds the engine's metric handles, looked up once in New so
+// no request, batch or transition pays a registry lookup.
+type engineMetrics struct {
+	queries, cores, ingestFacts, internedSymbols, minHits, minMisses *metrics.Counter
+	evictions, evictErrors, faultIns, faultInErrors                  *metrics.Counter
+	adopts, releases, borrows, borrowDiscards, blobGC, blobGCFails   *metrics.Counter
+	instances, resident, cold, residentBytes, shards                 *metrics.Gauge
+	shardMax, shardMin                                               *metrics.Gauge
+	eval, queueWait, minProv, evict, faultIn, borrow                 *metrics.Histogram
 }
 
-// New creates an engine and starts its worker pool. With cfg.Persist set,
+func newEngineMetrics(reg *metrics.Registry) engineMetrics {
+	return engineMetrics{
+		queries:         reg.Counter("engine_queries_total"),
+		cores:           reg.Counter("engine_core_total"),
+		ingestFacts:     reg.Counter("engine_ingest_facts_total"),
+		internedSymbols: reg.Counter("engine_interned_symbols_total"),
+		minHits:         reg.Counter("engine_cache_hits_total"),
+		minMisses:       reg.Counter("engine_cache_misses_total"),
+		evictions:       reg.Counter("engine_evictions_total"),
+		evictErrors:     reg.Counter("engine_evict_errors_total"),
+		faultIns:        reg.Counter("engine_faultins_total"),
+		faultInErrors:   reg.Counter("engine_faultin_errors_total"),
+		adopts:          reg.Counter("engine_adopts_total"),
+		releases:        reg.Counter("engine_releases_total"),
+		borrows:         reg.Counter("engine_borrows_total"),
+		borrowDiscards:  reg.Counter("engine_borrow_discards_total"),
+		blobGC:          reg.Counter("engine_blob_gc_total"),
+		blobGCFails:     reg.Counter("engine_blob_gc_failures_total"),
+		instances:       reg.Gauge("engine_instances"),
+		resident:        reg.Gauge("engine_resident_instances"),
+		cold:            reg.Gauge("engine_cold_instances"),
+		residentBytes:   reg.Gauge("engine_resident_bytes"),
+		shards:          reg.Gauge("engine_shards"),
+		shardMax:        reg.Gauge("engine_shard_max_instances"),
+		shardMin:        reg.Gauge("engine_shard_min_instances"),
+		eval:            reg.Histogram("engine_eval_seconds"),
+		queueWait:       reg.Histogram("engine_queue_wait_seconds"),
+		minProv:         reg.Histogram("engine_minprov_seconds"),
+		evict:           reg.Histogram("engine_evict_seconds"),
+		faultIn:         reg.Histogram("engine_faultin_seconds"),
+		borrow:          reg.Histogram("engine_borrow_seconds"),
+	}
+}
+
+// New creates an engine. With cfg.Persist set,
 // the engine adopts every instance the log recovered from disk — the
 // restart path of the paper's offline workflow (§1, §5): stored provenance
 // outlives the process that computed it.
 func New(cfg Config) *Engine {
+	if cfg.Workers < 1 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = 1024
 	}
@@ -292,9 +334,10 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		reg:        reg,
-		pool:       newPool(cfg.Workers),
+		pool:       &pool{slots: make(chan struct{}, cfg.Workers), closed: make(chan struct{})},
 		cache:      newMinCache(cfg.CacheSize),
 		resStats:   newResultCacheStats(reg),
+		met:        newEngineMetrics(reg),
 		log:        cfg.Persist,
 		shards:     make([]*regShard, nShards),
 		inflight:   map[string]*minFlight{},
@@ -330,8 +373,8 @@ func (e *Engine) Metrics() *metrics.Registry { return e.reg }
 // Durable reports whether the engine write-ahead-logs its mutations.
 func (e *Engine) Durable() bool { return e.log != nil }
 
-// Close stops the worker pool, all ingest batchers and (when durable) the
-// write-ahead log. In-flight work completes; subsequent calls fail.
+// Close stops all ingest batchers, the evaluation bound and (when durable)
+// the write-ahead log. In-flight work completes; subsequent calls fail.
 func (e *Engine) Close() {
 	if !e.closed.CompareAndSwap(false, true) {
 		return
@@ -357,7 +400,7 @@ func (e *Engine) Close() {
 		sh.mu.Unlock()
 	}
 	for _, in := range insts {
-		in.currentBatcher().close()
+		in.batcher.close()
 		// Symmetric with DropInstance: an embedder reusing the metrics
 		// registry across engines must not inherit stale cache occupancy.
 		in.results.purge()
@@ -420,7 +463,6 @@ func (e *Engine) createInstance(id, initial string) (info InstanceInfo, err erro
 		in = e.newInstance(persist.InstanceState{ID: id, DB: d}, false)
 		applied, err := e.commit(persist.Record{Op: persist.OpCreate, ID: id, Initial: initial}, func(uint64) { e.link(in) })
 		if !applied {
-			in.batcher.close()
 			return err
 		}
 		// A create whose sync failed is live and may well be durable: its
@@ -451,7 +493,7 @@ func (e *Engine) DropInstance(id string) (dropped bool, err error) {
 			dropped = true
 			return nil
 		case in != nil:
-			in.currentBatcher().close()
+			in.batcher.close()
 		}
 		applied, err := e.retire(in, persist.Record{Op: persist.OpDrop, ID: id}, false)
 		if applied {
@@ -473,7 +515,7 @@ func (e *Engine) gcBlob(id string) {
 		return
 	}
 	if err := e.backend.Delete(context.Background(), id); err != nil {
-		e.reg.Counter("engine_blob_gc_failures_total").Inc()
+		e.met.blobGCFails.Inc()
 	}
 }
 
@@ -500,13 +542,13 @@ func (e *Engine) updateShardGauges() {
 			minN = n
 		}
 	}
-	e.reg.Gauge("engine_instances").Set(resident + cold)
-	e.reg.Gauge("engine_resident_instances").Set(resident)
-	e.reg.Gauge("engine_cold_instances").Set(cold)
-	e.reg.Gauge("engine_resident_bytes").Set(e.residentBytes.Load())
-	e.reg.Gauge("engine_shards").Set(int64(len(e.shards)))
-	e.reg.Gauge("engine_shard_max_instances").Set(maxN)
-	e.reg.Gauge("engine_shard_min_instances").Set(minN)
+	e.met.instances.Set(resident + cold)
+	e.met.resident.Set(resident)
+	e.met.cold.Set(cold)
+	e.met.residentBytes.Set(e.residentBytes.Load())
+	e.met.shards.Set(int64(len(e.shards)))
+	e.met.shardMax.Set(maxN)
+	e.met.shardMin.Set(minN)
 }
 
 // InstanceCount returns the number of registered instances — resident and
@@ -713,7 +755,7 @@ func (e *Engine) evalCached(in *instance, u *query.UCQ) (res *eval.Result, gen u
 	if err != nil {
 		return nil, gen, false, false, err
 	}
-	e.reg.Histogram("engine_eval_seconds").Observe(time.Since(start))
+	e.met.eval.Observe(time.Since(start))
 	in.results.put(key, gen, u, res)
 	return res, gen, false, false, nil
 }
@@ -738,11 +780,11 @@ func (e *Engine) Ingest(id string, facts []Fact) error {
 		if len(facts) == 0 {
 			return nil
 		}
-		if err := in.currentBatcher().add(facts); err != nil {
+		if err := in.batcher.add(facts); err != nil {
 			if errors.Is(err, errInstanceClosed) && !e.closed.Load() {
 				// The batcher was closed by a removal racing this write.
 				// Wait for the transition to settle, then retry: lookup
-				// faults an evicted instance back in with a live batcher,
+				// faults an evicted instance back in with an open batcher,
 				// or reports a dropped one unknown.
 				e.waitResidency(id)
 				continue
@@ -752,7 +794,7 @@ func (e *Engine) Ingest(id string, facts []Fact) error {
 			}
 			return err
 		}
-		e.reg.Counter("engine_ingest_facts_total").Add(int64(len(facts)))
+		e.met.ingestFacts.Add(int64(len(facts)))
 		return nil
 	}
 	return fmt.Errorf("ingest %s: instance kept being evicted mid-write (resident budget too small?)", id)
@@ -761,15 +803,6 @@ func (e *Engine) Ingest(id string, facts []Fact) error {
 // ParseUnion parses query text into a UCQ≠ (one rule, or several separated
 // by ';' / newlines).
 func ParseUnion(text string) (*query.UCQ, error) { return query.ParseUnion(text) }
-
-// run executes fn on the worker pool, recording queue wait.
-func (e *Engine) run(ctx context.Context, fn func() (any, error)) (any, error) {
-	submitted := time.Now()
-	return e.pool.do(ctx, func() (any, error) {
-		e.reg.Histogram("engine_queue_wait_seconds").Observe(time.Since(submitted))
-		return fn()
-	})
-}
 
 // QueryOut is the result of a full-provenance query request.
 type QueryOut struct {
@@ -789,18 +822,14 @@ func (e *Engine) Query(ctx context.Context, id string, u *query.UCQ) (*QueryOut,
 	if err != nil {
 		return nil, err
 	}
-	e.reg.Counter("engine_queries_total").Inc()
-	v, err := e.run(ctx, func() (any, error) {
+	e.met.queries.Inc()
+	return run(ctx, e, func() (*QueryOut, error) {
 		res, gen, hit, maintained, err := e.evalCached(in, u)
 		if err != nil {
 			return nil, err
 		}
 		return &QueryOut{Result: res, Version: gen, CacheHit: hit, MaintainedHit: maintained}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*QueryOut), nil
 }
 
 // Minimize returns the p-minimal form of u, consulting the LRU cache first.
@@ -811,7 +840,7 @@ func (e *Engine) Minimize(u *query.UCQ) (*query.UCQ, bool) {
 	key := CanonicalKey(u)
 	for {
 		if min, ok := e.cache.get(key); ok {
-			e.reg.Counter("engine_cache_hits_total").Inc()
+			e.met.minHits.Inc()
 			return min, true
 		}
 		e.sfMu.Lock()
@@ -822,7 +851,7 @@ func (e *Engine) Minimize(u *query.UCQ) (*query.UCQ, bool) {
 			e.sfMu.Unlock()
 			<-fl.done
 			if fl.min != nil {
-				e.reg.Counter("engine_cache_hits_total").Inc()
+				e.met.minHits.Inc()
 				return fl.min, true
 			}
 			continue // leader panicked; retry (likely becoming leader)
@@ -831,7 +860,7 @@ func (e *Engine) Minimize(u *query.UCQ) (*query.UCQ, bool) {
 		e.inflight[key] = fl
 		e.sfMu.Unlock()
 
-		e.reg.Counter("engine_cache_misses_total").Inc()
+		e.met.minMisses.Inc()
 		defer func() {
 			e.sfMu.Lock()
 			delete(e.inflight, key)
@@ -840,7 +869,7 @@ func (e *Engine) Minimize(u *query.UCQ) (*query.UCQ, bool) {
 		}()
 		start := time.Now()
 		min := minimize.MinProv(u)
-		e.reg.Histogram("engine_minprov_seconds").Observe(time.Since(start))
+		e.met.minProv.Observe(time.Since(start))
 		e.cache.put(key, min)
 		fl.min = min
 		return min, false
@@ -935,8 +964,8 @@ func (e *Engine) Core(ctx context.Context, id string, u *query.UCQ) (*CoreOut, e
 	if err != nil {
 		return nil, err
 	}
-	e.reg.Counter("engine_core_total").Inc()
-	v, err := e.run(ctx, func() (any, error) {
+	e.met.cores.Inc()
+	return run(ctx, e, func() (*CoreOut, error) {
 		min, hit := e.Minimize(u)
 		// The result is cached under the minimized form's canonical key, so
 		// a /core of u and a /query of min share one materialization.
@@ -946,10 +975,6 @@ func (e *Engine) Core(ctx context.Context, id string, u *query.UCQ) (*CoreOut, e
 		}
 		return &CoreOut{Result: res, Minimized: min, CacheHit: hit, ResultCacheHit: resHit, MaintainedHit: maintained, Version: gen}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CoreOut), nil
 }
 
 // CoreDirect computes core provenance without the minimized query: it
@@ -962,7 +987,7 @@ func (e *Engine) CoreDirect(ctx context.Context, id string, u *query.UCQ) (*eval
 	if err != nil {
 		return nil, err
 	}
-	v, err := e.run(ctx, func() (any, error) {
+	return run(ctx, e, func() (*eval.Result, error) {
 		in.mu.RLock()
 		defer in.mu.RUnlock()
 		res, err := eval.EvalUCQOpts(u, in.db, e.cfg.Eval)
@@ -971,10 +996,6 @@ func (e *Engine) CoreDirect(ctx context.Context, id string, u *query.UCQ) (*eval
 		}
 		return direct.CoreResult(res, in.db, u.Consts())
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*eval.Result), nil
 }
 
 // TupleProvenance returns P(t, u, D) for one tuple (the zero polynomial if
@@ -982,22 +1003,28 @@ func (e *Engine) CoreDirect(ctx context.Context, id string, u *query.UCQ) (*eval
 // the result cache, so repeated /prob and /trust calls at an unchanged
 // generation — even for different tuples — share one materialization.
 func (e *Engine) TupleProvenance(ctx context.Context, id string, u *query.UCQ, t db.Tuple) (semiring.Polynomial, error) {
+	return tupleRun(ctx, e, id, u, t, false, func(p semiring.Polynomial) (semiring.Polynomial, error) { return p, nil })
+}
+
+// tupleRun computes P(t, u, D), reduced to its core up to coefficients when
+// useCore is set, and hands it to fn, all inside one evaluation slot: a
+// /prob or /trust request waits in the queue once.
+func tupleRun[T any](ctx context.Context, e *Engine, id string, u *query.UCQ, t db.Tuple, useCore bool, fn func(semiring.Polynomial) (T, error)) (val T, err error) {
 	in, err := e.lookup(id)
 	if err != nil {
-		return semiring.Zero, err
+		return val, err
 	}
-	v, err := e.run(ctx, func() (any, error) {
+	return run(ctx, e, func() (T, error) {
 		res, _, _, _, err := e.evalCached(in, u)
 		if err != nil {
-			return nil, err
+			return val, err
 		}
 		p, _ := res.Lookup(t)
-		return p, nil
+		if useCore {
+			p = direct.CoreUpToCoefficients(p)
+		}
+		return fn(p)
 	})
-	if err != nil {
-		return semiring.Zero, err
-	}
-	return v.(semiring.Polynomial), nil
 }
 
 // ProbOpts configures Probability.
@@ -1025,23 +1052,12 @@ func (o ProbOpts) tagProb(tag string) float64 {
 // tuple-independent probabilistic database (apps/prob on top of the
 // provenance polynomial).
 func (e *Engine) Probability(ctx context.Context, id string, u *query.UCQ, t db.Tuple, opts ProbOpts) (float64, error) {
-	p, err := e.TupleProvenance(ctx, id, u, t)
-	if err != nil {
-		return 0, err
-	}
-	v, err := e.run(ctx, func() (any, error) {
-		if opts.UseCore {
-			p = direct.CoreUpToCoefficients(p)
-		}
+	return tupleRun(ctx, e, id, u, t, opts.UseCore, func(p semiring.Polynomial) (float64, error) {
 		if opts.MCSamples > 0 {
 			return prob.MonteCarlo(p, opts.tagProb, opts.MCSamples, opts.Seed), nil
 		}
 		return prob.Exact(p, opts.tagProb)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
 }
 
 // TrustOpts configures Trust: per-tag values plus a default.
@@ -1065,23 +1081,12 @@ func (o TrustOpts) tagValue(tag string) float64 {
 // Trust evaluates the trust of tuple t: cheapest-derivation cost in the
 // tropical semiring, or most-confident derivation when opts.Confidence.
 func (e *Engine) Trust(ctx context.Context, id string, u *query.UCQ, t db.Tuple, opts TrustOpts) (float64, error) {
-	p, err := e.TupleProvenance(ctx, id, u, t)
-	if err != nil {
-		return 0, err
-	}
-	v, err := e.run(ctx, func() (any, error) {
-		if opts.UseCore {
-			p = direct.CoreUpToCoefficients(p)
-		}
+	return tupleRun(ctx, e, id, u, t, opts.UseCore, func(p semiring.Polynomial) (float64, error) {
 		if opts.Confidence {
 			return trust.Confidence(p, opts.tagValue), nil
 		}
 		return trust.Cost(p, opts.tagValue), nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
 }
 
 // DeletionOut reports deletion propagation over a whole result.
@@ -1102,7 +1107,7 @@ func (e *Engine) Deletion(ctx context.Context, id string, u *query.UCQ, deletedT
 	for _, tg := range deletedTags {
 		deleted[tg] = true
 	}
-	v, err := e.run(ctx, func() (any, error) {
+	return run(ctx, e, func() (*DeletionOut, error) {
 		res, _, _, _, err := e.evalCached(in, u)
 		if err != nil {
 			return nil, err
@@ -1111,8 +1116,4 @@ func (e *Engine) Deletion(ctx context.Context, id string, u *query.UCQ, deletedT
 		surv, lost := deletion.Propagate(res, deleted)
 		return &DeletionOut{Survivors: surv, Lost: lost}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*DeletionOut), nil
 }

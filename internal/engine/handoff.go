@@ -76,7 +76,7 @@ func (e *Engine) AdoptInstance(ctx context.Context, id string) error {
 		e.addCold(InstanceInfo{ID: id, Relations: len(st.DB.Relations()), Tuples: st.DB.NumTuples(), Version: st.Version, State: "cold"})
 		// Generated ids must never collide with an adopted one.
 		e.raiseNextID(numericInstanceID(id))
-		e.reg.Counter("engine_adopts_total").Inc()
+		e.met.adopts.Inc()
 		return nil
 	})
 }
@@ -103,9 +103,9 @@ func (e *Engine) ReleaseInstance(ctx context.Context, id string) error {
 			// mutates the database, so the blob is the instance's final
 			// state. A cold instance's blob is current by construction:
 			// eviction wrote it and cold state never mutates.
-			in.currentBatcher().close()
+			in.batcher.close()
 			if err := e.toBlob(ctx, in.state()); err != nil {
-				e.reviveBatcher(in)
+				in.batcher.reopen()
 				return fmt.Errorf("release %s: %w", id, err)
 			}
 		}
@@ -114,7 +114,7 @@ func (e *Engine) ReleaseInstance(ctx context.Context, id string) error {
 		// — both nodes may own it until the next rebalance, never neither.
 		applied, err := e.retire(in, persist.Record{Op: persist.OpRelease, ID: id}, false)
 		if applied {
-			e.reg.Counter("engine_releases_total").Inc()
+			e.met.releases.Inc()
 		}
 		return err
 	})
@@ -142,8 +142,8 @@ func (e *Engine) borrowIn(id string) error {
 			return fmt.Errorf("borrow %s: %w", id, err)
 		}
 		e.link(e.newInstance(st, true))
-		e.reg.Counter("engine_borrows_total").Inc()
-		e.reg.Histogram("engine_borrow_seconds").Observe(time.Since(start))
+		e.met.borrows.Inc()
+		e.met.borrow.Observe(time.Since(start))
 		return nil
 	})
 }
@@ -152,7 +152,7 @@ func (e *Engine) borrowIn(id string) error {
 // never in the local history) and no blob GC (the blob is the owner's).
 // The caller runs inside a transition of the copy's id.
 func (e *Engine) discardBorrowed(in *instance) {
-	in.currentBatcher().close()
+	in.batcher.close()
 	e.unlink(in, nil)
-	e.reg.Counter("engine_borrow_discards_total").Inc()
+	e.met.borrowDiscards.Inc()
 }

@@ -3,101 +3,50 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
+	"time"
 )
 
-// pool is a fixed-size worker pool that bounds the number of provenance
-// evaluations running at once. Evaluation is CPU-bound and worst-case
-// exponential, so an unbounded goroutine-per-request model would let one
-// burst of heavy queries swamp the process; the pool gives provmind a
-// predictable concurrency ceiling (and a queue whose wait time shows up in
-// the engine_queue_wait_seconds histogram).
+// pool bounds the number of provenance evaluations running at once, each
+// on its caller's goroutine. Evaluation is CPU-bound and worst-case
+// exponential, so the bound keeps one burst of heavy queries from swamping
+// the process; the wait for a slot shows in engine_queue_wait_seconds.
 type pool struct {
-	jobs chan poolJob
-	wg   sync.WaitGroup
-
-	closeOnce sync.Once
-	closed    chan struct{}
+	slots  chan struct{} // one token per running evaluation
+	closed chan struct{} // closed by close, before it takes every slot
 }
 
-type poolJob struct {
-	ctx  context.Context
-	run  func() (any, error)
-	resp chan poolResult
-}
-
-type poolResult struct {
-	val any
-	err error
-}
-
-func newPool(workers int) *pool {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &pool{
-		jobs:   make(chan poolJob),
-		closed: make(chan struct{}),
-	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-// worker pulls jobs until the pool closes. The jobs channel is unbuffered,
-// so a successful send in do() means some worker owns the job and will
-// deliver a response even if the pool closes meanwhile.
-func (p *pool) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case job := <-p.jobs:
-			if err := job.ctx.Err(); err != nil {
-				job.resp <- poolResult{err: err}
-				continue
-			}
-			val, err := safeRun(job.run)
-			job.resp <- poolResult{val: val, err: err}
-		case <-p.closed:
-			return
-		}
+// close refuses new evaluations and waits for the running ones to finish,
+// by taking every slot and never giving them back.
+func (p *pool) close() {
+	close(p.closed)
+	for range cap(p.slots) {
+		p.slots <- struct{}{}
 	}
 }
 
-// safeRun converts a panic in a job into an error so one malformed request
-// cannot take down the whole service.
-func safeRun(fn func() (any, error)) (val any, err error) {
+// run runs fn on the caller's goroutine once one of the engine's
+// evaluation slots is free, recording how long it waited. ctx is checked
+// only before fn starts: a ctx done first returns its error, and an engine
+// closed first returns ErrClosed. A panic in fn becomes an error, so one
+// malformed request cannot take down the whole service.
+func run[T any](ctx context.Context, e *Engine, fn func() (T, error)) (val T, err error) {
+	queued := time.Now()
+	select {
+	case e.pool.slots <- struct{}{}:
+	case <-ctx.Done():
+		return val, ctx.Err()
+	case <-e.pool.closed:
+		return val, ErrClosed
+	}
 	defer func() {
+		<-e.pool.slots
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: job panicked: %v", r)
 		}
 	}()
-	return fn()
-}
-
-// do submits fn and waits for its result, a free worker, or ctx/pool
-// cancellation — whichever comes first.
-func (p *pool) do(ctx context.Context, fn func() (any, error)) (any, error) {
-	job := poolJob{ctx: ctx, run: fn, resp: make(chan poolResult, 1)}
-	select {
-	case p.jobs <- job:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-p.closed:
-		return nil, fmt.Errorf("engine: pool closed")
+	if err := ctx.Err(); err != nil {
+		return val, err
 	}
-	res := <-job.resp
-	return res.val, res.err
-}
-
-// close stops accepting jobs and waits for in-flight ones to finish. The
-// jobs channel is never closed: senders race close() and a send on a closed
-// channel would panic, while an orphaned unbuffered send just blocks until
-// the sender's own closed-case fires.
-func (p *pool) close() {
-	p.closeOnce.Do(func() { close(p.closed) })
-	p.wg.Wait()
+	e.met.queueWait.Observe(time.Since(queued))
+	return fn()
 }

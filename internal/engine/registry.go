@@ -115,7 +115,7 @@ func (e *Engine) commit(rec persist.Record, apply func(seq uint64)) (applied boo
 }
 
 // newInstance builds the in-memory form of st with an empty result cache
-// and a running batcher. Nothing can reach it until link.
+// and an open batcher. Nothing can reach it until link.
 func (e *Engine) newInstance(st persist.InstanceState, borrowed bool) *instance {
 	in := &instance{id: st.ID, borrowed: borrowed, db: st.DB, version: st.Version, lastSeq: st.LastSeq, bytes: instanceCost(st.DB)}
 	in.results = e.newResultCache()
@@ -192,7 +192,7 @@ func (e *Engine) forgetCold(id string) {
 // instance in leaves the registry, for a cold stub when cold is set
 // (eviction), or, when in is nil, the id's cold stub goes. A caller
 // retiring a resident instance has closed its batcher — the write fence —
-// so no write is logged after rec. If rec is not applied, retire revives
+// so no write is logged after rec. If rec is not applied, retire reopens
 // the batcher and the instance stays as it was.
 func (e *Engine) retire(in *instance, rec persist.Record, cold bool) (applied bool, err error) {
 	if in == nil {
@@ -206,18 +206,9 @@ func (e *Engine) retire(in *instance, rec persist.Record, cold bool) (applied bo
 	}
 	applied, err = e.commit(rec, func(uint64) { e.unlink(in, stub) })
 	if !applied {
-		e.reviveBatcher(in)
+		in.batcher.reopen()
 	}
 	return applied, err
-}
-
-// reviveBatcher replaces the closed batcher of an instance that stays
-// resident after an aborted removal. It runs inside a transition, so Close
-// collects the new batcher, not the closed one.
-func (e *Engine) reviveBatcher(in *instance) {
-	in.mu.Lock()
-	in.batcher = newIngestBatcher(e, in, e.cfg.IngestBatchSize)
-	in.mu.Unlock()
 }
 
 // state captures in's database (shared, not copied), generation and WAL

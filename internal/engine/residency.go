@@ -68,10 +68,10 @@ func (e *Engine) EvictInstance(id string) error {
 		start := time.Now()
 		// The eviction fence: ingest callers that lose this race get
 		// errInstanceClosed and retry through waitResidency + fault-in.
-		in.currentBatcher().close()
+		in.batcher.close()
 		if err := e.toBlob(context.Background(), in.state()); err != nil {
-			e.reviveBatcher(in)
-			e.reg.Counter("engine_evict_errors_total").Inc()
+			in.batcher.reopen()
+			e.met.evictErrors.Inc()
 			return fmt.Errorf("evict %s: %w", id, err)
 		}
 		// The blob is durable; now flip the registry entry cold. The WAL
@@ -82,11 +82,11 @@ func (e *Engine) EvictInstance(id string) error {
 		// instance resident: more state than acknowledged, never less.
 		applied, err := e.retire(in, persist.Record{Op: persist.OpEvict, ID: id}, true)
 		if !applied {
-			e.reg.Counter("engine_evict_errors_total").Inc()
+			e.met.evictErrors.Inc()
 			return err
 		}
-		e.reg.Counter("engine_evictions_total").Inc()
-		e.reg.Histogram("engine_evict_seconds").Observe(time.Since(start))
+		e.met.evictions.Inc()
+		e.met.evict.Observe(time.Since(start))
 		return err
 	})
 }
@@ -106,7 +106,7 @@ func (e *Engine) faultIn(id string) error {
 		start := time.Now()
 		st, err := e.loadBlob(context.Background(), id)
 		if err != nil {
-			e.reg.Counter("engine_faultin_errors_total").Inc()
+			e.met.faultInErrors.Inc()
 			if errors.Is(err, fs.ErrNotExist) {
 				return fmt.Errorf("fault-in %s: cold snapshot blob missing from %s: %w", id, e.backend.String(), err)
 			}
@@ -124,12 +124,11 @@ func (e *Engine) faultIn(id string) error {
 			e.link(in)
 		})
 		if !applied {
-			in.batcher.close()
-			e.reg.Counter("engine_faultin_errors_total").Inc()
+			e.met.faultInErrors.Inc()
 			return err
 		}
-		e.reg.Counter("engine_faultins_total").Inc()
-		e.reg.Histogram("engine_faultin_seconds").Observe(time.Since(start))
+		e.met.faultIns.Inc()
+		e.met.faultIn.Observe(time.Since(start))
 		return nil
 	})
 }
@@ -214,9 +213,9 @@ func (e *Engine) AdoptCold(ctx context.Context, owns func(id string) bool) error
 		}
 		if dropped[id] {
 			if err := e.backend.Delete(ctx, id); err != nil {
-				e.reg.Counter("engine_blob_gc_failures_total").Inc()
+				e.met.blobGCFails.Inc()
 			} else {
-				e.reg.Counter("engine_blob_gc_total").Inc()
+				e.met.blobGC.Inc()
 			}
 			continue
 		}
@@ -303,8 +302,8 @@ func (e *Engine) Residency() ResidencyInfo {
 		sh.mu.RUnlock()
 	}
 	sort.Strings(info.Cold)
-	info.Evictions = e.reg.Counter("engine_evictions_total").Value()
-	info.FaultIns = e.reg.Counter("engine_faultins_total").Value()
+	info.Evictions = e.met.evictions.Value()
+	info.FaultIns = e.met.faultIns.Value()
 	return info
 }
 
@@ -312,7 +311,7 @@ func (e *Engine) Residency() ResidencyInfo {
 // instance's approximate size.
 func (e *Engine) noteInstanceBytes(id string, delta, newBytes int64) {
 	e.residentBytes.Add(delta)
-	e.reg.Gauge("engine_resident_bytes").Set(e.residentBytes.Load())
+	e.met.residentBytes.Set(e.residentBytes.Load())
 	if e.backend != nil {
 		e.tracker.SetBytes(id, newBytes)
 	}

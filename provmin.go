@@ -42,7 +42,7 @@
 // Beyond the one-shot functions above, the package exposes a long-lived
 // service core (see engine.go): NewEngine returns a concurrency-safe
 // [Engine] that hosts named annotated instances behind read-write locks,
-// bounds parallel evaluations with a worker pool, batches tuple ingest, and
+// bounds how many evaluations run at once, batches tuple ingest, and
 // keeps an LRU cache from canonical query forms to their p-minimal
 // equivalents — so repeated core-provenance requests skip MinProv, the
 // worst-case-exponential step. NewServerHandler wraps an Engine in the
